@@ -21,7 +21,7 @@
 //! dialect and client kind); the worker only ever ships typed values.
 
 use squality_engine::{EngineError, ErrorKind, QueryResult, Value};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Protocol version, exchanged in the HELLO handshake. Bump on any wire
 /// format change.
@@ -48,8 +48,16 @@ pub fn read_frame(r: &mut impl BufRead) -> std::io::Result<Option<Vec<u8>>> {
             format!("malformed frame length {:?}", len_line.trim_end()),
         )
     })?;
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // The length is untrusted: read at most `len` bytes instead of
+    // allocating it up front, and reject a stream that ends early.
+    let mut payload = Vec::new();
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() != len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("truncated frame: {} of {len} bytes", payload.len()),
+        ));
+    }
     Ok(Some(payload))
 }
 

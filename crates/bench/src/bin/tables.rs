@@ -79,9 +79,9 @@
 use squality_bench::ensure_parent_dir;
 use squality_core::triage::{triage_study_with_observers, TriageConfig};
 use squality_core::{
-    bug_store_table, replay_store_with_observers, replay_table, run_study_cached, stability_table,
-    triage_table, BackendSpec, BugStore, ReplayConfig, ResultCache, StabilityConfig, Study,
-    StudyConfig,
+    bug_store_table, default_cache_dir, replay_store_with_observers, replay_table,
+    run_study_cached, stability_table, triage_table, BackendSpec, BugStore, ReplayConfig,
+    ResultCache, StabilityConfig, Study, StudyConfig,
 };
 use squality_engine::ENGINE_SEMANTICS_VERSION;
 use squality_runner::{JsonlObserver, ProgressObserver, RunObserver};
@@ -245,7 +245,7 @@ fn main() {
 
     // The `cache` subcommand introspects the store without running anything.
     if sections.first().map(String::as_str) == Some("cache") {
-        let root = cache_dir.unwrap_or_else(ResultCache::default_dir);
+        let root = cache_dir.unwrap_or_else(default_cache_dir);
         match sections.get(1).map(String::as_str) {
             Some("stats") => cache_stats(&root),
             Some("clear") => cache_clear(&root),
@@ -306,7 +306,7 @@ fn main() {
         config = config.with_stability_arm(stability.clone());
     }
     let cache = use_cache.then(|| {
-        let root = cache_dir.clone().unwrap_or_else(ResultCache::default_dir);
+        let root = cache_dir.clone().unwrap_or_else(default_cache_dir);
         eprintln!("result cache: {}", root.display());
         Arc::new(ResultCache::new(root))
     });

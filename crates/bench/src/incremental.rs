@@ -13,7 +13,7 @@
 //! and reports the wall-clock plus per-phase hit/miss counters that the
 //! `study_incremental` section of `BENCH_engine.json` tracks.
 
-use squality_core::{run_study_cached, CacheStats, ResultCache, StudyConfig};
+use squality_core::{run_study_cached, ResultCache, StoreStats, StudyConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -32,11 +32,11 @@ pub struct IncrementalBenchResult {
     /// Dirty (one entry evicted) study wall-clock in milliseconds.
     pub dirty_ms: f64,
     /// Hit/miss/store counters from the cold run.
-    pub cold_stats: CacheStats,
+    pub cold_stats: StoreStats,
     /// Hit/miss/store counters from the warm run.
-    pub warm_stats: CacheStats,
+    pub warm_stats: StoreStats,
     /// Hit/miss/store counters from the dirty run.
-    pub dirty_stats: CacheStats,
+    pub dirty_stats: StoreStats,
 }
 
 impl IncrementalBenchResult {

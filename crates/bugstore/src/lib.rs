@@ -22,11 +22,12 @@
 //! the replay service runs the whole corpus as a first-class suite and
 //! reports still-failing / fixed / regressed transitions per entry.
 //!
-//! The store borrows the result cache's durability discipline wholesale:
-//! one file per entry under a schema-versioned directory, atomic
-//! temp-file + rename writes, a header line double-checking the version,
-//! and *any* read problem degrading to a miss — the store can always be
-//! rebuilt by one triage run. Signature serialization is the shared
+//! The store is the result cache's machine with another codec: a
+//! [`squality_runner::store::Store`] over [`BugCodec`] — one file per
+//! entry under a schema-versioned directory, atomic temp-file + rename
+//! writes, a header line double-checking the version, and *any* read
+//! problem degrading to a miss, so the store can always be rebuilt by one
+//! triage run. Signature serialization is the shared
 //! [`squality_runner::sigcodec`] codec, so the cache and the bug store
 //! can never drift apart on the wire format.
 
@@ -37,18 +38,15 @@ use squality_runner::sigcodec::{
     decode_signature, decode_translation_counts, encode_signature, encode_translation_counts,
     escape, unescape,
 };
+use squality_runner::store::{EntryCodec, Store, StoreStats};
 use squality_runner::{FailureSignature, Stability, TranslationCounts, TranslationMode};
 use squality_sqltext::TextDialect;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// On-disk format version: directory name (`v1/`) and entry header.
 /// Bumping it orphans every entry written by older code.
 pub const STORE_VERSION: u32 = 1;
-
-/// Process-wide counter making concurrent writers' temp file names unique.
-static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// The study-matrix arm an entry's exemplar failure came from. Mirrors
 /// the triage arm taxonomy without depending on the core crate (core
@@ -64,6 +62,9 @@ pub enum BugArm {
 }
 
 impl BugArm {
+    /// All arms.
+    pub const ALL: [BugArm; 3] = [BugArm::DonorBare, BugArm::Verbatim, BugArm::Translated];
+
     /// Short label for tables (`""` / `" [verbatim]"`-style suffixes are
     /// the caller's concern; this is the bare arm name).
     pub fn label(self) -> &'static str {
@@ -72,6 +73,21 @@ impl BugArm {
             BugArm::Verbatim => "verbatim",
             BugArm::Translated => "translated",
         }
+    }
+
+    /// The canonical numeric tag. It feeds on-disk entries and replay
+    /// grouping, so an arm's tag never changes.
+    pub fn tag(self) -> u8 {
+        match self {
+            BugArm::DonorBare => 0,
+            BugArm::Verbatim => 1,
+            BugArm::Translated => 2,
+        }
+    }
+
+    /// Invert [`BugArm::tag`].
+    pub fn from_tag(tag: u8) -> Option<BugArm> {
+        BugArm::ALL.into_iter().find(|a| a.tag() == tag)
     }
 }
 
@@ -146,48 +162,22 @@ pub fn signature_key(sig: &FailureSignature) -> u64 {
     h.finish()
 }
 
-/// Lookup/store counters of one store instance over one run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BugStoreStats {
-    /// Lookups answered from disk.
-    pub hits: u64,
-    /// Lookups that found no (valid) entry.
-    pub misses: u64,
-    /// Entries written.
-    pub stores: u64,
-    /// Entries that existed but failed validation — a subset of `misses`.
-    pub corrupt: u64,
-}
-
-/// The on-disk bug repository.
+/// The on-disk bug repository: one [`BugEntry`] per [`signature_key`],
+/// at `<root>/v1/<shard>/<key>.bug`.
 ///
-/// Cheap to construct; share one per run via [`BugStore::shared`]. All
-/// methods take `&self` and are thread-safe: writes are atomic renames
-/// of complete entries, so racing workers both leave a valid file.
+/// A [`Store`] over [`BugCodec`] plus the repository's own semantics:
+/// signature keying, [`BugStore::upsert`], [`BugStore::import`] and
+/// [`BugStore::gc`]. Cheap to construct; share one per run via
+/// [`BugStore::shared`]. All methods take `&self` and are thread-safe.
+#[derive(Debug)]
 pub struct BugStore {
-    root: PathBuf,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    stores: AtomicU64,
-    corrupt: AtomicU64,
-}
-
-impl std::fmt::Debug for BugStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BugStore").field("root", &self.root).finish_non_exhaustive()
-    }
+    store: Store<BugCodec>,
 }
 
 impl BugStore {
     /// A store rooted at `root` (created lazily on first write).
     pub fn new(root: impl Into<PathBuf>) -> BugStore {
-        BugStore {
-            root: root.into(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
-        }
+        BugStore { store: Store::new(root) }
     }
 
     /// [`BugStore::new`] wrapped for sharing across triage workers.
@@ -203,15 +193,7 @@ impl BugStore {
 
     /// The store's root directory.
     pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    fn entry_path(&self, key: u64) -> PathBuf {
-        // Shard by the key's top byte to keep directories small.
-        self.root
-            .join(format!("v{STORE_VERSION}"))
-            .join(format!("{:02x}", key >> 56))
-            .join(format!("{key:016x}.bug"))
+        self.store.root()
     }
 
     /// Fetch the entry for a signature (modulo stability). Any failure —
@@ -223,51 +205,12 @@ impl BugStore {
 
     /// Fetch an entry by its key directly (CLI `bugs show`).
     pub fn lookup_key(&self, key: u64) -> Option<BugEntry> {
-        let path = self.entry_path(key);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        match decode_entry(&text) {
-            Some(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry)
-            }
-            None => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.store.lookup(&key)
     }
 
-    /// Persist one entry atomically under its signature key: complete
-    /// temp file, then rename. IO failures are swallowed — a store that
-    /// cannot write simply never hits.
+    /// Persist one entry atomically under its signature key.
     pub fn store(&self, entry: &BugEntry) {
-        let key = signature_key(&entry.signature);
-        let path = self.entry_path(key);
-        let Some(dir) = path.parent() else { return };
-        if std::fs::create_dir_all(dir).is_err() {
-            return;
-        }
-        let tmp = dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        if std::fs::write(&tmp, encode_entry(key, entry)).is_err() {
-            let _ = std::fs::remove_file(&tmp);
-            return;
-        }
-        if std::fs::rename(&tmp, &path).is_ok() {
-            self.stores.fetch_add(1, Ordering::Relaxed);
-        } else {
-            let _ = std::fs::remove_file(&tmp);
-        }
+        self.store.store(&signature_key(&entry.signature), entry);
     }
 
     /// Store `entry`, preserving an existing entry's `first_seen`
@@ -290,48 +233,18 @@ impl BugStore {
     /// Every valid entry on disk, sorted by key — the deterministic
     /// iteration order for listings and replay.
     pub fn entries(&self) -> Vec<(u64, BugEntry)> {
-        let mut out = Vec::new();
-        for path in self.entry_files() {
-            let Ok(text) = std::fs::read_to_string(&path) else { continue };
-            let Some(entry) = decode_entry(&text) else { continue };
-            let Some(key) = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .and_then(|s| u64::from_str_radix(s, 16).ok())
-            else {
-                continue;
-            };
-            out.push((key, entry));
-        }
-        out.sort_by_key(|(key, _)| *key);
-        out
+        self.store.entries()
     }
 
     /// Delete one entry. Returns `true` if it existed.
     pub fn remove(&self, key: u64) -> bool {
-        std::fs::remove_file(self.entry_path(key)).is_ok()
+        self.store.remove(&key)
     }
 
     /// Drop every entry whose semantics version is not `current` and
     /// every unreadable file. Returns `(removed, kept)`.
     pub fn gc(&self, current: u32) -> (usize, usize) {
-        let mut removed = 0;
-        let mut kept = 0;
-        for path in self.entry_files() {
-            let stale = match std::fs::read_to_string(&path) {
-                Ok(text) => match decode_entry(&text) {
-                    Some(entry) => entry.semantics_version != current,
-                    None => true,
-                },
-                Err(_) => true,
-            };
-            if stale && std::fs::remove_file(&path).is_ok() {
-                removed += 1;
-            } else {
-                kept += 1;
-            }
-        }
-        (removed, kept)
+        self.store.retain(|entry| entry.semantics_version == current)
     }
 
     /// Copy every entry `other` has that this store lacks (by key).
@@ -351,46 +264,44 @@ impl BugStore {
     }
 
     /// Snapshot of this instance's lookup/store counters.
-    pub fn stats(&self) -> BugStoreStats {
-        BugStoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
-        }
+    pub fn stats(&self) -> StoreStats {
+        self.store.stats()
     }
 
     /// `(entry count, total bytes)` on disk.
     pub fn disk_usage(&self) -> (usize, u64) {
-        let paths = self.entry_files();
-        let bytes = paths.iter().filter_map(|p| std::fs::metadata(p).ok()).map(|m| m.len()).sum();
-        (paths.len(), bytes)
+        self.store.disk_usage()
     }
 
     /// Delete the entire store directory.
     pub fn clear(&self) -> std::io::Result<()> {
-        match std::fs::remove_dir_all(&self.root) {
-            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
-            _ => Ok(()),
-        }
+        self.store.clear()
+    }
+}
+
+/// The bug store's entry format (layout below).
+pub struct BugCodec;
+
+impl EntryCodec for BugCodec {
+    type Key = u64;
+    type Value = BugEntry;
+    const VERSION: u32 = STORE_VERSION;
+    const EXT: &'static str = "bug";
+
+    fn stem(key: &u64) -> String {
+        format!("{key:016x}")
     }
 
-    fn entry_files(&self) -> Vec<PathBuf> {
-        let mut out = Vec::new();
-        let mut stack = vec![self.root.clone()];
-        while let Some(dir) = stack.pop() {
-            let Ok(entries) = std::fs::read_dir(&dir) else { continue };
-            for entry in entries.flatten() {
-                let path = entry.path();
-                if path.is_dir() {
-                    stack.push(path);
-                } else if path.extension().is_some_and(|e| e == "bug") {
-                    out.push(path);
-                }
-            }
-        }
-        out.sort();
-        out
+    fn parse_stem(stem: &str) -> Option<u64> {
+        u64::from_str_radix(stem, 16).ok()
+    }
+
+    fn encode(key: &u64, entry: &BugEntry) -> String {
+        encode_entry(*key, entry)
+    }
+
+    fn decode(key: &u64, text: &str) -> Option<BugEntry> {
+        decode_entry(*key, text)
     }
 }
 
@@ -401,7 +312,7 @@ impl BugStore {
 // truncated writes. Layout:
 //
 //   squality-bug-store v<STORE_VERSION>
-//   K <key>                (16 hex digits, double-checked against the name)
+//   K <key>                (16 hex digits, checked against the file name)
 //   S <signature>          (sigcodec line; stability folded in)
 //   N <repro name>
 //   C <suite> <host> <arm> <semver> <probes> <before> <after> <reproduced>
@@ -413,82 +324,6 @@ impl BugStore {
 //   ES <n>; then n × s <setup sql>
 //   R <n>; then n × r <repro line>
 //   END
-
-fn suite_tag(s: SuiteKind) -> u8 {
-    match s {
-        SuiteKind::Slt => 0,
-        SuiteKind::Duckdb => 1,
-        SuiteKind::PgRegress => 2,
-        SuiteKind::MysqlTest => 3,
-    }
-}
-
-fn parse_suite(tag: &str) -> Option<SuiteKind> {
-    Some(match tag {
-        "0" => SuiteKind::Slt,
-        "1" => SuiteKind::Duckdb,
-        "2" => SuiteKind::PgRegress,
-        "3" => SuiteKind::MysqlTest,
-        _ => return None,
-    })
-}
-
-fn host_tag(d: EngineDialect) -> u8 {
-    match d {
-        EngineDialect::Sqlite => 0,
-        EngineDialect::Postgres => 1,
-        EngineDialect::Duckdb => 2,
-        EngineDialect::Mysql => 3,
-    }
-}
-
-fn parse_host(tag: &str) -> Option<EngineDialect> {
-    Some(match tag {
-        "0" => EngineDialect::Sqlite,
-        "1" => EngineDialect::Postgres,
-        "2" => EngineDialect::Duckdb,
-        "3" => EngineDialect::Mysql,
-        _ => return None,
-    })
-}
-
-fn arm_tag(a: BugArm) -> u8 {
-    match a {
-        BugArm::DonorBare => 0,
-        BugArm::Verbatim => 1,
-        BugArm::Translated => 2,
-    }
-}
-
-fn parse_arm(tag: &str) -> Option<BugArm> {
-    Some(match tag {
-        "0" => BugArm::DonorBare,
-        "1" => BugArm::Verbatim,
-        "2" => BugArm::Translated,
-        _ => return None,
-    })
-}
-
-fn text_dialect_tag(d: TextDialect) -> u8 {
-    match d {
-        TextDialect::Sqlite => 0,
-        TextDialect::Postgres => 1,
-        TextDialect::Duckdb => 2,
-        TextDialect::Mysql => 3,
-        TextDialect::Generic => 4,
-    }
-}
-
-fn parse_text_dialect(tag: &str) -> Option<TextDialect> {
-    Some(match tag {
-        "0" => TextDialect::Sqlite,
-        "1" => TextDialect::Postgres,
-        "2" => TextDialect::Duckdb,
-        "3" => TextDialect::Mysql,
-        "4" => TextDialect::Generic,
-        _ => return None,
-    })
-}
 
 fn encode_entry(key: u64, entry: &BugEntry) -> String {
     let mut out = String::with_capacity(2048);
@@ -503,9 +338,9 @@ fn encode_entry(key: u64, entry: &BugEntry) -> String {
     out.push_str(&format!("N {}\n", escape(&entry.repro_name)));
     out.push_str(&format!(
         "C {} {} {} {} {} {} {} {}\n",
-        suite_tag(entry.suite),
-        host_tag(entry.host),
-        arm_tag(entry.arm),
+        entry.suite.tag(),
+        entry.host.tag(),
+        entry.arm.tag(),
         entry.semantics_version,
         entry.probes,
         entry.records_before,
@@ -515,7 +350,7 @@ fn encode_entry(key: u64, entry: &BugEntry) -> String {
     match entry.translation {
         TranslationMode::Verbatim => out.push_str("M V\n"),
         TranslationMode::Translated { from, to } => {
-            out.push_str(&format!("M X {} {}\n", text_dialect_tag(from), text_dialect_tag(to)));
+            out.push_str(&format!("M X {} {}\n", from.tag(), to.tag()));
         }
     }
     out.push_str(&format!("T {}\n", encode_translation_counts(&entry.rule_counters)));
@@ -547,20 +382,23 @@ fn encode_entry(key: u64, entry: &BugEntry) -> String {
     out
 }
 
-fn decode_entry(text: &str) -> Option<BugEntry> {
+fn decode_entry(key: u64, text: &str) -> Option<BugEntry> {
     let mut lines = text.lines();
     if lines.next()? != format!("squality-bug-store v{STORE_VERSION}") {
         return None;
     }
-    let key_line = lines.next()?.strip_prefix("K ")?;
-    u64::from_str_radix(key_line, 16).ok()?;
+    // An entry copied or renamed to another key's path is corrupt.
+    if lines.next()?.strip_prefix("K ")? != format!("{key:016x}") {
+        return None;
+    }
     let mut signature = decode_signature(lines.next()?.strip_prefix("S ")?)?;
     let stability = signature.stability.take();
     let repro_name = unescape(lines.next()?.strip_prefix("N ")?)?;
     let mut c = lines.next()?.strip_prefix("C ")?.split(' ');
-    let suite = parse_suite(c.next()?)?;
-    let host = parse_host(c.next()?)?;
-    let arm = parse_arm(c.next()?)?;
+    let mut tag = || c.next()?.parse().ok();
+    let suite = SuiteKind::from_tag(tag()?)?;
+    let host = EngineDialect::from_tag(tag()?)?;
+    let arm = BugArm::from_tag(tag()?)?;
     let semantics_version: u32 = c.next()?.parse().ok()?;
     let probes: usize = c.next()?.parse().ok()?;
     let records_before: usize = c.next()?.parse().ok()?;
@@ -574,24 +412,28 @@ fn decode_entry(text: &str) -> Option<BugEntry> {
         TranslationMode::Verbatim
     } else {
         let mut parts = m.strip_prefix("X ")?.split(' ');
-        let from = parse_text_dialect(parts.next()?)?;
-        let to = parse_text_dialect(parts.next()?)?;
+        let mut dialect = || TextDialect::from_tag(parts.next()?.parse().ok()?);
+        let from = dialect()?;
+        let to = dialect()?;
         TranslationMode::Translated { from, to }
     };
     let rule_counters = decode_translation_counts(lines.next()?.strip_prefix("T ")?)?;
     let first_seen = unescape(lines.next()?.strip_prefix("F ")?)?;
     let last_seen = unescape(lines.next()?.strip_prefix("L ")?)?;
+    // Counts come from disk: collect without pre-sizing, so a huge count
+    // ends at the first missing line instead of in the allocator.
     let n_data: usize = lines.next()?.strip_prefix("ED ")?.parse().ok()?;
-    let mut data_files = Vec::with_capacity(n_data);
-    for _ in 0..n_data {
-        let (path, m) = lines.next()?.strip_prefix("d ")?.rsplit_once(' ')?;
-        let m: usize = m.parse().ok()?;
-        let path = unescape(path)?;
-        let rows = (0..m)
-            .map(|_| unescape(lines.next()?.strip_prefix("x ")?))
-            .collect::<Option<Vec<String>>>()?;
-        data_files.push((path, rows));
-    }
+    let data_files = (0..n_data)
+        .map(|_| {
+            let (path, m) = lines.next()?.strip_prefix("d ")?.rsplit_once(' ')?;
+            let m: usize = m.parse().ok()?;
+            let path = unescape(path)?;
+            let rows = (0..m)
+                .map(|_| unescape(lines.next()?.strip_prefix("x ")?))
+                .collect::<Option<Vec<String>>>()?;
+            Some((path, rows))
+        })
+        .collect::<Option<Vec<_>>>()?;
     let n_ext: usize = lines.next()?.strip_prefix("EX ")?.parse().ok()?;
     let extensions = (0..n_ext)
         .map(|_| unescape(lines.next()?.strip_prefix("e ")?))
@@ -704,7 +546,7 @@ mod tests {
     fn entry_codec_roundtrips() {
         let entry = sample_entry();
         let key = signature_key(&entry.signature);
-        let decoded = decode_entry(&encode_entry(key, &entry)).expect("roundtrip");
+        let decoded = decode_entry(key, &encode_entry(key, &entry)).expect("roundtrip");
         assert_eq!(decoded, entry);
     }
 
@@ -718,7 +560,7 @@ mod tests {
         entry.arm = BugArm::DonorBare;
         entry.environment = DonorEnvironment::default();
         let key = signature_key(&entry.signature);
-        let decoded = decode_entry(&encode_entry(key, &entry)).expect("roundtrip");
+        let decoded = decode_entry(key, &encode_entry(key, &entry)).expect("roundtrip");
         assert_eq!(decoded, entry);
     }
 
@@ -752,28 +594,52 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_entry_is_a_miss() {
-        let store = temp_store("corrupt");
-        let entry = sample_entry();
-        store.store(&entry);
-        let path = store.entry_files().pop().expect("one entry");
-        std::fs::write(&path, "not an entry\n").unwrap();
-        assert!(store.lookup(&entry.signature).is_none());
-        assert_eq!(store.stats().corrupt, 1);
-        store.clear().unwrap();
+    fn enum_tags_are_positional_and_invertible() {
+        // The tags are on disk: pin them, not just their round trip.
+        let suites = SuiteKind::ALL.map(SuiteKind::tag);
+        let hosts = EngineDialect::ALL.map(EngineDialect::tag);
+        let dialects = TextDialect::ALL.map(TextDialect::tag);
+        let arms = BugArm::ALL.map(BugArm::tag);
+        assert_eq!(
+            (suites, hosts, dialects, arms),
+            ([0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3, 4], [0, 1, 2])
+        );
+        assert!(SuiteKind::ALL.into_iter().all(|k| SuiteKind::from_tag(k.tag()) == Some(k)));
+        assert!(EngineDialect::ALL
+            .into_iter()
+            .all(|d| EngineDialect::from_tag(d.tag()) == Some(d)));
+        assert!(TextDialect::ALL.into_iter().all(|d| TextDialect::from_tag(d.tag()) == Some(d)));
+        assert!(BugArm::ALL.into_iter().all(|a| BugArm::from_tag(a.tag()) == Some(a)));
+        assert_eq!(
+            (SuiteKind::from_tag(4), EngineDialect::from_tag(4), TextDialect::from_tag(5)),
+            (None, None, None)
+        );
+        assert_eq!(BugArm::from_tag(3), None);
     }
 
     #[test]
-    fn version_mismatch_is_a_miss() {
-        let store = temp_store("version");
+    fn huge_data_file_count_is_a_miss_not_a_panic() {
+        let entry = sample_entry();
+        let key = signature_key(&entry.signature);
+        let text = encode_entry(key, &entry).replace("ED 1\n", "ED 18446744073709551615\n");
+        assert!(text.contains("\nED 18446744073709551615\n"));
+        assert!(decode_entry(key, &text).is_none());
+    }
+
+    #[test]
+    fn entry_filed_under_another_key_is_corrupt() {
+        let store = temp_store("rekey");
         let entry = sample_entry();
         store.store(&entry);
-        let path = store.entry_files().pop().expect("one entry");
-        let old = std::fs::read_to_string(&path).unwrap();
-        let bumped =
-            old.replacen(&format!("v{STORE_VERSION}"), &format!("v{}", STORE_VERSION + 1), 1);
-        std::fs::write(&path, bumped).unwrap();
-        assert!(store.lookup(&entry.signature).is_none(), "future-version entry must miss");
+        let key = signature_key(&entry.signature);
+        let other = key ^ 1;
+        let from = store.store.entry_path(&key);
+        let to = store.store.entry_path(&other);
+        std::fs::copy(from, to).unwrap();
+        assert!(store.lookup_key(other).is_none(), "K line names another key");
+        assert_eq!(store.stats().corrupt, 1);
+        assert_eq!(store.lookup_key(key), Some(entry));
+        assert_eq!(store.entries().len(), 1, "listings skip the misfiled copy");
         store.clear().unwrap();
     }
 
@@ -825,26 +691,5 @@ mod tests {
         assert_eq!(dst.entries().len(), 2);
         src.clear().unwrap();
         dst.clear().unwrap();
-    }
-
-    #[test]
-    fn concurrent_writers_racing_one_key_leave_a_valid_entry() {
-        let store = std::sync::Arc::new(temp_store("race"));
-        let entry = sample_entry();
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let store = std::sync::Arc::clone(&store);
-                let entry = entry.clone();
-                scope.spawn(move || {
-                    for _ in 0..20 {
-                        store.store(&entry);
-                    }
-                });
-            }
-        });
-        let got = store.lookup(&entry.signature).expect("valid entry survives the race");
-        assert_eq!(got, entry);
-        assert_eq!(store.disk_usage().0, 1);
-        store.clear().unwrap();
     }
 }

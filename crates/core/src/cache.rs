@@ -16,13 +16,14 @@
 //! timing excluded from canonical logs) is exactly what makes such replay
 //! possible.
 //!
-//! The on-disk store is deliberately boring: one file per entry under a
-//! schema-versioned directory, written atomically (unique temp file +
-//! rename), with a header line double-checking the version. *Any* read
-//! problem — missing file, bad header, truncated body, garbage — degrades
-//! to a miss and a recompute, never an error: the cache can always be
-//! deleted, and concurrent writers racing the same key both win (either
-//! rename leaves a valid entry).
+//! The on-disk store is deliberately boring: a
+//! [`squality_runner::store::Store`] over this module's [`ResultCodec`],
+//! the same machine the bug repository uses. One file per entry under a
+//! schema-versioned directory, written atomically, with a header line
+//! double-checking the version. *Any* read problem — missing file, bad
+//! header, truncated body, garbage — degrades to a miss and a recompute,
+//! never an error: the cache can always be deleted, and concurrent writers
+//! racing the same key both win (either rename leaves a valid entry).
 
 use crate::transplant::Provision;
 use squality_corpus::DonorEnvironment;
@@ -32,13 +33,12 @@ use squality_runner::sigcodec::{
     decode_signature, decode_translation_counts, encode_signature, encode_translation_counts,
     escape, unescape,
 };
+use squality_runner::store::{EntryCodec, Store};
 use squality_runner::{
     FailInfo, FileResult, NumericMode, Outcome, RecordResult, TranslationCounts, TranslationMode,
     TranslationRule,
 };
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::path::PathBuf;
 
 /// On-disk format version. Bumping it orphans (and ignores) every entry
 /// written by older code: the version appears in both the directory name
@@ -47,9 +47,6 @@ use std::sync::Arc;
 /// v2: the failure line delegates signature serialization to the shared
 /// [`squality_runner::sigcodec`] codec (also used by the bug store).
 pub const SCHEMA_VERSION: u32 = 2;
-
-/// Process-wide counter making concurrent writers' temp file names unique.
-static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// Everything configuration-side that determines a cell's results — the
 /// cell half of a [`FileKey`]. Fields that provably cannot change an
@@ -92,12 +89,7 @@ impl CellSpec<'_> {
     pub fn cell_hash(&self) -> u64 {
         let mut h = ContentHasher::new();
         h.write_str("squality-cell");
-        h.write_tag(match self.suite {
-            SuiteKind::Slt => 0,
-            SuiteKind::Duckdb => 1,
-            SuiteKind::PgRegress => 2,
-            SuiteKind::MysqlTest => 3,
-        });
+        h.write_tag(self.suite.tag());
         h.write_str(self.engine_fingerprint);
         h.write_tag(match self.client {
             ClientKind::Cli => 0,
@@ -119,8 +111,8 @@ impl CellSpec<'_> {
             TranslationMode::Verbatim => h.write_tag(0),
             TranslationMode::Translated { from, to } => {
                 h.write_tag(1);
-                h.write_tag(text_dialect_tag(from));
-                h.write_tag(text_dialect_tag(to));
+                h.write_tag(from.tag());
+                h.write_tag(to.tag());
                 // The rule-set fingerprint: adding, removing, or renaming
                 // a translation rule invalidates every *translated* entry
                 // (verbatim runs never consult the rules).
@@ -162,17 +154,6 @@ impl CellSpec<'_> {
     }
 }
 
-fn text_dialect_tag(d: squality_sqltext::TextDialect) -> u8 {
-    use squality_sqltext::TextDialect;
-    match d {
-        TextDialect::Sqlite => 0,
-        TextDialect::Postgres => 1,
-        TextDialect::Duckdb => 2,
-        TextDialect::Mysql => 3,
-        TextDialect::Generic => 4,
-    }
-}
-
 /// Address of one cached per-file result: cell configuration hash × file
 /// content hash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -197,200 +178,47 @@ pub struct CachedFileRun {
     pub coverage: Coverage,
 }
 
-/// Hit/miss counters of one cache over one run, snapshot via
-/// [`ResultCache::stats`] — threaded to reports the same way
-/// [`squality_runner::TranslationStats`] counters are.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups answered from disk.
-    pub hits: u64,
-    /// Lookups that fell through to execution.
-    pub misses: u64,
-    /// Entries written.
-    pub stores: u64,
-    /// Entries that existed but failed validation (bad version, truncated,
-    /// garbage) — a subset of `misses`.
-    pub corrupt: u64,
-}
-
-impl CacheStats {
-    /// Fraction of lookups answered from the cache, in [0, 1].
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// The content-addressed on-disk result store.
+/// The content-addressed on-disk result store: one [`CachedFileRun`] per
+/// [`FileKey`], at `<root>/v2/<shard>/<cell>-<file>.entry`.
 ///
-/// Cheap to construct; share one per run via [`ResultCache::shared`] and
-/// [`crate::HarnessBuilder::result_cache`]. All methods take `&self` and
-/// are thread-safe; lookups and stores from racing workers are safe
-/// because writes are atomic renames of complete entries.
-pub struct ResultCache {
-    root: PathBuf,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    stores: AtomicU64,
-    corrupt: AtomicU64,
+/// Share one per run via [`Store::shared`] and
+/// [`crate::HarnessBuilder::result_cache`]; racing workers are safe
+/// because writes are atomic renames of complete entries. `persist_stats`
+/// and `last_run_stats` back the `squality-tables cache stats` surface.
+pub type ResultCache = Store<ResultCodec>;
+
+/// The conventional cache location: `.squality-cache/` under the current
+/// directory.
+pub fn default_cache_dir() -> PathBuf {
+    PathBuf::from(".squality-cache")
 }
 
-impl ResultCache {
-    /// A cache rooted at `root` (created lazily on first store).
-    pub fn new(root: impl Into<PathBuf>) -> ResultCache {
-        ResultCache {
-            root: root.into(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
-        }
+/// The result cache's entry format: the key lives in the file name only.
+pub struct ResultCodec;
+
+impl EntryCodec for ResultCodec {
+    type Key = FileKey;
+    type Value = CachedFileRun;
+    const VERSION: u32 = SCHEMA_VERSION;
+    const EXT: &'static str = "entry";
+
+    /// Leads with the cell hash, so entries shard by its top byte.
+    fn stem(key: &FileKey) -> String {
+        format!("{:016x}-{:016x}", key.cell, key.file)
     }
 
-    /// [`ResultCache::new`] wrapped for sharing across cells of a study.
-    pub fn shared(root: impl Into<PathBuf>) -> Arc<ResultCache> {
-        Arc::new(ResultCache::new(root))
+    fn parse_stem(stem: &str) -> Option<FileKey> {
+        let (cell, file) = stem.split_once('-')?;
+        let hex = |s: &str| u64::from_str_radix(s, 16).ok();
+        Some(FileKey { cell: hex(cell)?, file: hex(file)? })
     }
 
-    /// The conventional cache location: `.squality-cache/` under the
-    /// current directory.
-    pub fn default_dir() -> PathBuf {
-        PathBuf::from(".squality-cache")
+    fn encode(_: &FileKey, run: &CachedFileRun) -> String {
+        encode_entry(run)
     }
 
-    /// The cache's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    fn entry_path(&self, key: &FileKey) -> PathBuf {
-        // Shard by the cell hash's top byte to keep directories small.
-        self.root
-            .join(format!("v{SCHEMA_VERSION}"))
-            .join(format!("{:02x}", key.cell >> 56))
-            .join(format!("{:016x}-{:016x}.entry", key.cell, key.file))
-    }
-
-    /// Fetch a cached run. Any failure — absent entry, version mismatch,
-    /// truncation, garbage — is a miss, never an error.
-    pub fn lookup(&self, key: &FileKey) -> Option<CachedFileRun> {
-        let path = self.entry_path(key);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        match decode_entry(&text) {
-            Some(run) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(run)
-            }
-            None => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Persist one run atomically: write a complete entry to a uniquely
-    /// named temp file, then rename into place. Two workers racing the
-    /// same key each rename a *valid* entry, so readers never observe a
-    /// partial write. IO failures are swallowed — a cache that cannot
-    /// write simply never hits.
-    pub fn store(&self, key: &FileKey, run: &CachedFileRun) {
-        let path = self.entry_path(key);
-        let Some(dir) = path.parent() else { return };
-        if std::fs::create_dir_all(dir).is_err() {
-            return;
-        }
-        let tmp = dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        if std::fs::write(&tmp, encode_entry(run)).is_err() {
-            let _ = std::fs::remove_file(&tmp);
-            return;
-        }
-        if std::fs::rename(&tmp, &path).is_ok() {
-            self.stores.fetch_add(1, Ordering::Relaxed);
-        } else {
-            let _ = std::fs::remove_file(&tmp);
-        }
-    }
-
-    /// Snapshot of this instance's lookup/store counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Every entry file currently on disk (all schema versions), sorted —
-    /// introspection, disk accounting, and targeted eviction in benches.
-    pub fn entry_paths(&self) -> Vec<PathBuf> {
-        let mut out = Vec::new();
-        let mut stack = vec![self.root.clone()];
-        while let Some(dir) = stack.pop() {
-            let Ok(entries) = std::fs::read_dir(&dir) else { continue };
-            for entry in entries.flatten() {
-                let path = entry.path();
-                if path.is_dir() {
-                    stack.push(path);
-                } else if path.extension().is_some_and(|e| e == "entry") {
-                    out.push(path);
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
-    /// `(entry count, total bytes)` on disk.
-    pub fn disk_usage(&self) -> (usize, u64) {
-        let paths = self.entry_paths();
-        let bytes = paths.iter().filter_map(|p| std::fs::metadata(p).ok()).map(|m| m.len()).sum();
-        (paths.len(), bytes)
-    }
-
-    /// Delete the entire cache directory.
-    pub fn clear(&self) -> std::io::Result<()> {
-        match std::fs::remove_dir_all(&self.root) {
-            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
-            _ => Ok(()),
-        }
-    }
-
-    /// Record this instance's counters as the cache's "last run" stats,
-    /// read back by [`ResultCache::last_run_stats`] (the
-    /// `squality-tables cache stats` surface).
-    pub fn persist_stats(&self) {
-        let s = self.stats();
-        if std::fs::create_dir_all(&self.root).is_ok() {
-            let _ = std::fs::write(
-                self.root.join("last-run-stats"),
-                format!("{} {} {} {}\n", s.hits, s.misses, s.stores, s.corrupt),
-            );
-        }
-    }
-
-    /// The counters persisted by the most recent [`ResultCache::persist_stats`]
-    /// under `root`, if any.
-    pub fn last_run_stats(root: &Path) -> Option<CacheStats> {
-        let text = std::fs::read_to_string(root.join("last-run-stats")).ok()?;
-        let mut nums = text.split_whitespace().map(|n| n.parse::<u64>());
-        let mut next = || nums.next()?.ok();
-        Some(CacheStats { hits: next()?, misses: next()?, stores: next()?, corrupt: next()? })
+    fn decode(_: &FileKey, text: &str) -> Option<CachedFileRun> {
+        decode_entry(text)
     }
 }
 
@@ -647,79 +475,6 @@ mod tests {
         assert!(bytes > 0);
         cache.clear().unwrap();
         assert_eq!(cache.disk_usage().0, 0);
-    }
-
-    #[test]
-    fn schema_version_mismatch_is_a_miss() {
-        let cache = temp_cache("version");
-        let key = FileKey { cell: 1, file: 2 };
-        cache.store(&key, &sample_run());
-        let path = cache.entry_paths().pop().expect("one entry");
-        let old = std::fs::read_to_string(&path).unwrap();
-        let bumped =
-            old.replacen(&format!("v{SCHEMA_VERSION}"), &format!("v{}", SCHEMA_VERSION + 1), 1);
-        std::fs::write(&path, bumped).unwrap();
-        assert!(cache.lookup(&key).is_none(), "future-version entry must miss");
-        assert_eq!(cache.stats().corrupt, 1);
-        cache.clear().unwrap();
-    }
-
-    #[test]
-    fn truncated_entry_is_a_miss() {
-        let cache = temp_cache("truncated");
-        let key = FileKey { cell: 3, file: 4 };
-        cache.store(&key, &sample_run());
-        let path = cache.entry_paths().pop().expect("one entry");
-        let full = std::fs::read_to_string(&path).unwrap();
-        // Drop the END terminator and a bit more — a torn write.
-        let cut = full.len() - "END\n".len() - 7;
-        std::fs::write(&path, &full[..cut]).unwrap();
-        assert!(cache.lookup(&key).is_none(), "truncated entry must miss");
-        assert_eq!(cache.stats().corrupt, 1);
-        cache.clear().unwrap();
-    }
-
-    #[test]
-    fn garbage_entry_is_a_miss() {
-        let cache = temp_cache("garbage");
-        let key = FileKey { cell: 5, file: 6 };
-        cache.store(&key, &sample_run());
-        let path = cache.entry_paths().pop().expect("one entry");
-        std::fs::write(&path, "not an entry at all\n\0\0\0").unwrap();
-        assert!(cache.lookup(&key).is_none(), "garbage entry must miss");
-        let stats = cache.stats();
-        assert_eq!((stats.misses, stats.corrupt), (1, 1));
-        cache.clear().unwrap();
-    }
-
-    #[test]
-    fn concurrent_writers_racing_one_key_leave_a_valid_entry() {
-        let cache = std::sync::Arc::new(temp_cache("race"));
-        let key = FileKey { cell: 7, file: 8 };
-        let run = sample_run();
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let cache = std::sync::Arc::clone(&cache);
-                let run = run.clone();
-                scope.spawn(move || {
-                    for _ in 0..20 {
-                        cache.store(&key, &run);
-                    }
-                });
-            }
-        });
-        let got = cache.lookup(&key).expect("a racing store still leaves a valid entry");
-        assert_eq!(got.result, run.result);
-        // No temp litter: exactly the one entry file remains.
-        assert_eq!(cache.disk_usage().0, 1);
-        let dir = cache.entry_paths().pop().unwrap();
-        let litter: Vec<_> = std::fs::read_dir(dir.parent().unwrap())
-            .unwrap()
-            .flatten()
-            .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"))
-            .collect();
-        assert!(litter.is_empty(), "temp files must not leak: {litter:?}");
-        cache.clear().unwrap();
     }
 
     #[test]

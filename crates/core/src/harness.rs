@@ -390,8 +390,8 @@ impl<'a> Harness<'a> {
         &self.label
     }
 
-    /// The equivalent legacy [`RunConfig`] (what the deprecated free
-    /// functions used to take).
+    /// The run's host, client, provision, numeric mode and translation
+    /// flag as a [`RunConfig`] value.
     pub fn run_config(&self) -> RunConfig {
         RunConfig {
             host: self.host,

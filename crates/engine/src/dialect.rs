@@ -109,6 +109,22 @@ impl EngineDialect {
         EngineDialect::Duckdb,
         EngineDialect::Mysql,
     ];
+
+    /// The canonical numeric tag. It feeds on-disk entries and replay
+    /// grouping, so a dialect's tag never changes.
+    pub fn tag(self) -> u8 {
+        match self {
+            EngineDialect::Sqlite => 0,
+            EngineDialect::Postgres => 1,
+            EngineDialect::Duckdb => 2,
+            EngineDialect::Mysql => 3,
+        }
+    }
+
+    /// Invert [`EngineDialect::tag`].
+    pub fn from_tag(tag: u8) -> Option<EngineDialect> {
+        EngineDialect::ALL.into_iter().find(|d| d.tag() == tag)
+    }
 }
 
 impl std::fmt::Display for EngineDialect {

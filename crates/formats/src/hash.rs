@@ -14,8 +14,8 @@
 //! length-prefixed, so `["ab","c"]` and `["a","bc"]` never collide.
 
 use crate::ir::{
-    Condition, ControlCommand, QueryExpectation, RecordKind, SortMode, StatementExpect, SuiteKind,
-    TestFile, TestRecord,
+    Condition, ControlCommand, QueryExpectation, RecordKind, SortMode, StatementExpect, TestFile,
+    TestRecord,
 };
 
 /// An incremental FNV-1a 64-bit hasher over a tagged canonical stream.
@@ -87,15 +87,6 @@ impl ContentHasher {
     /// The digest.
     pub fn finish(&self) -> u64 {
         self.state
-    }
-}
-
-fn suite_tag(kind: SuiteKind) -> u8 {
-    match kind {
-        SuiteKind::Slt => 0,
-        SuiteKind::Duckdb => 1,
-        SuiteKind::PgRegress => 2,
-        SuiteKind::MysqlTest => 3,
     }
 }
 
@@ -255,7 +246,7 @@ fn hash_control(h: &mut ContentHasher, cmd: &ControlCommand) {
 pub fn file_content_hash(file: &TestFile) -> u64 {
     let mut h = ContentHasher::new();
     h.write_str(&file.name);
-    h.write_tag(suite_tag(file.suite));
+    h.write_tag(file.suite.tag());
     hash_records(&mut h, &file.records);
     h.finish()
 }
@@ -263,6 +254,7 @@ pub fn file_content_hash(file: &TestFile) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::SuiteKind;
     use crate::slt::{parse_slt, SltFlavor};
 
     fn probe(sql: &str) -> TestFile {

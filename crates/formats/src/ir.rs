@@ -33,6 +33,22 @@ impl SuiteKind {
     /// All suites.
     pub const ALL: [SuiteKind; 4] =
         [SuiteKind::Slt, SuiteKind::Duckdb, SuiteKind::PgRegress, SuiteKind::MysqlTest];
+
+    /// The canonical numeric tag. It feeds content hashes and on-disk
+    /// entries, so a suite's tag never changes.
+    pub fn tag(self) -> u8 {
+        match self {
+            SuiteKind::Slt => 0,
+            SuiteKind::Duckdb => 1,
+            SuiteKind::PgRegress => 2,
+            SuiteKind::MysqlTest => 3,
+        }
+    }
+
+    /// Invert [`SuiteKind::tag`].
+    pub fn from_tag(tag: u8) -> Option<SuiteKind> {
+        SuiteKind::ALL.into_iter().find(|k| k.tag() == tag)
+    }
 }
 
 /// A parsed test file.

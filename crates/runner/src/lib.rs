@@ -28,6 +28,7 @@ pub mod outcome;
 pub mod runner;
 pub mod scheduler;
 pub mod sigcodec;
+pub mod store;
 pub mod validate;
 
 pub use classify::{
@@ -50,4 +51,5 @@ pub use sigcodec::{decode_signature, encode_signature};
 pub use squality_sqlast::translate::{
     TranslationCache, TranslationCounts, TranslationRule, TranslationStats,
 };
+pub use store::{EntryCodec, Store, StoreStats};
 pub use validate::{validate_query, values_equal, NumericMode, Verdict};

@@ -62,6 +62,23 @@ impl TextDialect {
         TextDialect::Mysql,
         TextDialect::Generic,
     ];
+
+    /// The canonical numeric tag. It feeds content hashes and on-disk
+    /// entries, so a dialect's tag never changes.
+    pub fn tag(self) -> u8 {
+        match self {
+            TextDialect::Sqlite => 0,
+            TextDialect::Postgres => 1,
+            TextDialect::Duckdb => 2,
+            TextDialect::Mysql => 3,
+            TextDialect::Generic => 4,
+        }
+    }
+
+    /// Invert [`TextDialect::tag`].
+    pub fn from_tag(tag: u8) -> Option<TextDialect> {
+        TextDialect::ALL.into_iter().find(|d| d.tag() == tag)
+    }
 }
 
 impl std::fmt::Display for TextDialect {
