@@ -76,13 +76,13 @@ fn bench_plan_cache(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("loop_heavy_uncached", |b| {
         let factory = EngineConnectorFactory::new(EngineDialect::Sqlite, ClientKind::Cli);
-        b.iter(|| runner.run_suite(&factory, std::slice::from_ref(&file), 1));
+        b.iter(|| runner.run_files(&factory, &[(0, &file)], 1, |_| {}, |_, _| {}, None));
     });
     g.bench_function("loop_heavy_cached", |b| {
         let cache = PlanCache::shared();
         let factory = EngineConnectorFactory::new(EngineDialect::Sqlite, ClientKind::Cli)
             .plan_cache(Arc::clone(&cache));
-        b.iter(|| runner.run_suite(&factory, std::slice::from_ref(&file), 1));
+        b.iter(|| runner.run_files(&factory, &[(0, &file)], 1, |_| {}, |_, _| {}, None));
     });
     g.finish();
 
@@ -90,7 +90,7 @@ fn bench_plan_cache(c: &mut Criterion) {
     let cache = PlanCache::shared();
     let factory = EngineConnectorFactory::new(EngineDialect::Sqlite, ClientKind::Cli)
         .plan_cache(Arc::clone(&cache));
-    runner.run_suite(&factory, &[loop_heavy_file()], 1);
+    runner.run_files(&factory, &[(0, &loop_heavy_file())], 1, |_| {}, |_, _| {}, None);
     let stats = cache.stats();
     println!(
         "plan_cache: loop-heavy SLT file: {} hits / {} misses ({:.1}% hit rate)",

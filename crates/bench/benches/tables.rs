@@ -30,11 +30,13 @@ fn bench_study_pipeline(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("full_study_scale_0.02", |b| {
         b.iter(|| {
-            squality_core::run_study(
+            squality_core::run_study_cached(
                 squality_core::StudyConfig::default()
                     .with_seed(7)
                     .with_scale(0.02)
                     .with_translated_arm(false),
+                &[],
+                None,
             )
         })
     });

@@ -1,7 +1,7 @@
 //! Benchmark helpers shared by the criterion benches and the
 //! `squality-tables` binary.
 
-use squality_core::{run_study, Study, StudyConfig};
+use squality_core::{run_study_cached, Study, StudyConfig};
 
 pub mod hot_paths;
 pub mod incremental;
@@ -30,7 +30,7 @@ pub fn study_at_scale(scale: f64) -> Study {
 pub fn study_at_scale_with_workers(scale: f64, workers: usize) -> Study {
     let config =
         StudyConfig::default().with_scale(scale).with_workers(workers).with_translated_arm(false);
-    run_study(config)
+    run_study_cached(config, &[], None)
 }
 
 /// The scale used by benches: small enough to iterate, large enough that

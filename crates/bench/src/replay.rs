@@ -14,8 +14,8 @@
 //! * **replay** — the stored repro corpus re-executes as a regression
 //!   suite through the harness.
 
-use squality_core::triage::{triage_study, TriageConfig};
-use squality_core::{replay_store, BugStore, ReplayConfig};
+use squality_core::triage::{triage_study_with_observers, TriageConfig};
+use squality_core::{replay_store_with_observers, BugStore, ReplayConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -73,18 +73,19 @@ pub fn run_replay_bench(scale: f64, workers: usize) -> ReplayBenchResult {
         .with_store(Arc::clone(&store));
 
     let start = Instant::now();
-    let cold = triage_study(&study, &config);
+    let cold = triage_study_with_observers(&study, &config, &[]);
     let cold_triage_ms = start.elapsed().as_nanos() as f64 / 1e6;
 
     let start = Instant::now();
-    let warm = triage_study(&study, &config);
+    let warm = triage_study_with_observers(&study, &config, &[]);
     let warm_triage_ms = start.elapsed().as_nanos() as f64 / 1e6;
     // The acceptance invariant the bench rides on: an unchanged study
     // re-triages without a single ddmin probe.
     assert_eq!(warm.stats.probes, 0, "warm re-triage must be probe-free");
 
     let start = Instant::now();
-    let report = replay_store(&store, &ReplayConfig::default().with_workers(workers));
+    let replay_config = ReplayConfig::default().with_workers(workers);
+    let report = replay_store_with_observers(&store, &replay_config, &[]);
     let replay_ms = start.elapsed().as_nanos() as f64 / 1e6;
 
     let _ = std::fs::remove_dir_all(&dir);

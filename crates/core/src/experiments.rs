@@ -261,38 +261,27 @@ fn cell_builder<'a>(
     builder
 }
 
-/// Run the full study.
-///
-/// Every suite × host cell executes through a [`Harness`]: the study is
-/// [`run_study_with_observers`] with no observers attached.
-pub fn run_study(config: StudyConfig) -> Study {
-    run_study_with_observers(config, &[])
-}
-
 /// Run the full study, streaming every cell's [`RunEvent`] stream — donor
 /// validation, both matrix arms, and the coverage runs, in their fixed
 /// execution order — to the given observers (e.g. a
 /// [`JsonlObserver`](squality_runner::JsonlObserver) for a
 /// machine-readable run log, a
-/// [`ProgressObserver`](squality_runner::ProgressObserver) for the CLI).
+/// [`ProgressObserver`](squality_runner::ProgressObserver) for the CLI;
+/// pass `&[]` for none).
 ///
-/// Every cell executes through the parallel scheduler: `config.workers`
-/// connections per cell share one statement-plan cache, so a statement
-/// text parses once for the whole study no matter how many cells, files,
-/// or loop iterations replay it. Observers never change results — the
-/// study is byte-identical with or without them, at any worker count.
+/// Every suite × host cell executes through a [`Harness`] on the parallel
+/// scheduler: `config.workers` connections per cell share one
+/// statement-plan cache, so a statement text parses once for the whole
+/// study no matter how many cells, files, or loop iterations replay it.
+///
+/// With a `result_cache` shared across every cell, files already cached
+/// under the same (configuration, content) key replay from disk instead
+/// of executing, so a repeated study is near-instant and an incremental
+/// one only re-runs what changed. Results, reports, event logs, and
+/// coverage rows are byte-identical with or without observers or the
+/// cache, warm or cold, at any worker count.
 ///
 /// [`RunEvent`]: squality_runner::RunEvent
-pub fn run_study_with_observers(config: StudyConfig, observers: &[&dyn RunObserver]) -> Study {
-    run_study_cached(config, observers, None)
-}
-
-/// [`run_study_with_observers`] with an optional content-addressed result
-/// cache shared across every cell: files already cached under the same
-/// (configuration, content) key replay from disk instead of executing, so
-/// a repeated study is near-instant and an incremental one only re-runs
-/// what changed. Results, reports, event logs, and coverage rows are
-/// byte-identical with or without the cache, warm or cold.
 pub fn run_study_cached(
     config: StudyConfig,
     observers: &[&dyn RunObserver],
@@ -585,17 +574,39 @@ pub fn difficulty_summary(study: &Study, suite: SuiteKind) -> BTreeMap<ReuseDiff
     out
 }
 
+/// The default-configuration study at `seed` and `scale`, run once per
+/// test binary and shared by every unit test that reads it: each
+/// (seed, scale) pair gets its own lazily-filled cell, so tests needing
+/// different studies do not wait on each other.
+#[cfg(test)]
+pub(crate) fn shared_study(seed: u64, scale: f64) -> &'static Study {
+    use std::sync::{Mutex, OnceLock};
+    type Memo = Mutex<Vec<((u64, u64), &'static OnceLock<Study>)>>;
+    static MEMO: Memo = Mutex::new(Vec::new());
+    let key = (seed, scale.to_bits());
+    let cell = {
+        let mut memo = MEMO.lock().expect("study memo poisoned");
+        match memo.iter().find(|(k, _)| *k == key) {
+            Some((_, cell)) => *cell,
+            None => {
+                let cell: &'static OnceLock<Study> = Box::leak(Box::default());
+                memo.push((key, cell));
+                cell
+            }
+        }
+    };
+    cell.get_or_init(|| {
+        run_study_cached(StudyConfig::default().with_seed(seed).with_scale(scale), &[], None)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn small_study() -> Study {
-        run_study(StudyConfig::default().with_seed(21).with_scale(0.08))
-    }
-
     #[test]
     fn study_shape() {
-        let s = small_study();
+        let s = shared_study(21, 0.08);
         assert_eq!(s.suites.len(), 4);
         assert_eq!(s.donor_runs.len(), 3);
         assert_eq!(s.matrix.len(), 12); // 3 suites × 4 hosts
@@ -605,7 +616,7 @@ mod tests {
 
     #[test]
     fn translated_arm_never_adds_syntax_errors_and_fixes_some() {
-        let s = small_study();
+        let s = shared_study(21, 0.08);
         let mut verbatim_total = 0usize;
         let mut translated_total = 0usize;
         for suite in EXECUTED_SUITES {
@@ -638,7 +649,7 @@ mod tests {
 
     #[test]
     fn translated_arm_diagonal_matches_verbatim() {
-        let s = small_study();
+        let s = shared_study(21, 0.08);
         for suite in EXECUTED_SUITES {
             let donor = donor_dialect(suite);
             let v = &s.cell(suite, donor).summary;
@@ -652,7 +663,7 @@ mod tests {
 
     #[test]
     fn translation_counters_are_consistent() {
-        let s = small_study();
+        let s = shared_study(21, 0.08);
         let total = s.translation_counts();
         assert!(total.applied_total() > 0, "study-wide counters empty: {total:?}");
         // The study-wide snapshot is exactly the sum of the per-cell ones.
@@ -667,7 +678,7 @@ mod tests {
 
     #[test]
     fn figure4_shape_holds() {
-        let s = small_study();
+        let s = shared_study(21, 0.08);
         // Diagonal ≈ 100%.
         for suite in EXECUTED_SUITES {
             let donor = donor_dialect(suite);
@@ -699,7 +710,7 @@ mod tests {
 
     #[test]
     fn donor_runs_expose_dependencies() {
-        let s = small_study();
+        let s = shared_study(21, 0.08);
         // SQLite's suite has (almost) no dependencies; PostgreSQL's and
         // DuckDB's do (paper Table 4: 2 vs 4,075 vs 1,035 failures).
         let slt = s.donor_run(SuiteKind::Slt);
@@ -715,8 +726,10 @@ mod tests {
     fn dependency_classes_match_paper_shape() {
         // Larger scale so every injected dependency class appears in the
         // PostgreSQL sample (the paper samples from 4,075 failures).
-        let s = run_study(
+        let s = run_study_cached(
             StudyConfig::default().with_seed(21).with_scale(0.25).with_translated_arm(false),
+            &[],
+            None,
         );
         // PostgreSQL: environment-dominated (Set Up biggest — Table 5).
         let pg = dependency_breakdown(s.donor_run(SuiteKind::PgRegress), 5);
@@ -734,7 +747,7 @@ mod tests {
 
     #[test]
     fn bugs_are_found() {
-        let s = small_study();
+        let s = shared_study(21, 0.08);
         let crashes = s.bugs.iter().filter(|b| b.is_crash).count();
         let hangs = s.bugs.iter().filter(|b| !b.is_crash).count();
         // The paper found 3 crashes and 3 hangs; at small scale at least
@@ -745,7 +758,7 @@ mod tests {
 
     #[test]
     fn coverage_union_dominates() {
-        let s = small_study();
+        let s = shared_study(21, 0.08);
         for row in &s.coverage {
             assert!(
                 row.squality_line >= row.original_line - 1e-12,
@@ -761,9 +774,9 @@ mod tests {
 
     #[test]
     fn difficulty_summary_sums_to_one() {
-        let s = small_study();
+        let s = shared_study(21, 0.08);
         for suite in EXECUTED_SUITES {
-            let d = difficulty_summary(&s, suite);
+            let d = difficulty_summary(s, suite);
             let sum: f64 = d.values().sum();
             assert!((sum - 1.0).abs() < 1e-9 || sum == 0.0, "{suite:?}: {sum}");
         }

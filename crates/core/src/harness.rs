@@ -1,13 +1,10 @@
 //! The unified public entry point: a builder for suite × host runs.
 //!
-//! PRs 1–3 each widened the free-function surface (`run_suite_on`,
-//! `run_suite_sharded`, `run_suite_with_connector`) and its struct-literal
-//! configs, breaking callers every time a knob landed. [`Harness`]
-//! replaces that scatter with one builder — suite → host engine → client →
-//! faults → translation → workers → plan cache, all defaulted — whose
-//! [`Run`]s execute through the existing parallel scheduler and emit the
-//! typed [`RunEvent`] stream to any number of
-//! [`RunObserver`] sinks.
+//! [`Harness`] is one builder — suite → host engine → client → faults →
+//! translation → workers → plan cache, all defaulted — whose [`Run`]s
+//! execute through one path for every backend: result-cache replay, the
+//! parallel scheduler for everything else, and the typed [`RunEvent`]
+//! stream to any number of [`RunObserver`] sinks.
 //!
 //! The determinism contract carries over unchanged: summaries and the
 //! event multiset are byte-identical at every worker count (timing fields
@@ -27,11 +24,13 @@ use squality_engine::{
 };
 use squality_formats::{file_content_hash, SuiteKind, TestFile};
 use squality_runner::{
-    emit_suite_finished, replay_file_events, Connector, EngineConnector, EngineConnectorFactory,
-    FanoutObserver, FileRunRecord, NumericMode, RunEvent, RunObserver, Runner, RunnerOptions,
-    TranslationCounts, TranslationMode,
+    emit_suite_finished, replay_file_events, Connector, ConnectorFactory, ConnectorInfo,
+    EngineConnector, EngineConnectorFactory, FanoutObserver, FileResult, NumericMode, RunEvent,
+    RunObserver, Runner, RunnerOptions, TranslationCounts, TranslationMode,
 };
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// What a harness executes: a generated donor suite (with its recorded
 /// environment) or a bare slice of parsed test files.
@@ -485,22 +484,55 @@ impl<'a> Harness<'a> {
     /// With a [`HarnessBuilder::result_cache`], files whose key matches a
     /// cached entry are replayed instead of executed; everything
     /// observable (summary, events, tables, coverage unions) is
-    /// byte-identical either way.
+    /// byte-identical either way. The cache is consulted only in-process
+    /// and without a stability arm: subprocess runs exist to observe live
+    /// process faults (and their coverage stays worker-side), and a warm
+    /// cache must not replay stale stability verdicts.
     pub fn run(&self) -> Run {
-        let mut run = if matches!(self.backend, BackendSpec::Subprocess { .. }) {
-            // Subprocess runs are never cached: their point is observing
-            // live process faults, and coverage stays worker-side.
-            self.run_subprocess()
-        } else if self.stability.is_some() {
-            // Stability runs are never cached either (satellite of the
-            // same contract): a warm cache must not replay stale
-            // verdicts, so the run executes live and the rerun arm
-            // probes live too.
-            self.run_uncached()
-        } else {
-            match &self.result_cache {
-                Some(cache) => self.run_cached(Arc::clone(cache)),
-                None => self.run_uncached(),
+        let mut run = match &self.backend {
+            BackendSpec::Subprocess { bin, deadline, max_restarts } => {
+                let bin = bin
+                    .clone()
+                    .or_else(discover_worker_bin)
+                    // Last resort: let the OS search PATH at spawn time.
+                    .unwrap_or_else(|| std::path::PathBuf::from("squality-backend-worker"));
+                let mut factory = SubprocessConnectorFactory::new(bin, self.host, self.client)
+                    .with_faults(self.faults)
+                    .deadline(*deadline)
+                    .max_restarts(*max_restarts);
+                for (key, value) in std::env::vars() {
+                    // Forward the fault-injection hooks so crash-containment
+                    // tests (and CI fault legs) reach the workers.
+                    if key == "SQUALITY_CRASH_AFTER" || key == "SQUALITY_HANG_AFTER" {
+                        factory = factory.env(&key, &value);
+                    }
+                }
+                // Explicit per-harness entries land after the forwarded
+                // ones, so they win (Command::env is last-wins) — seeded
+                // stability-arm schedules override whatever the parent
+                // process carries.
+                for (key, value) in &self.backend_env {
+                    factory = factory.env(key, value);
+                }
+                let provision = |conn: &mut SubprocessConnector| self.provision_subprocess(conn);
+                let (summary, _, _) = self.execute(&factory, provision, None);
+                Run {
+                    summary,
+                    connectors: Vec::new(),
+                    replayed_coverage: Coverage::new(),
+                    backend_faults: Some(factory.stats().snapshot()),
+                }
+            }
+            BackendSpec::InProcess => {
+                let cache = self.result_cache.as_deref().filter(|_| self.stability.is_none());
+                let capture: CoverageCapture<EngineConnector> = (
+                    EngineConnector::begin_coverage_capture,
+                    EngineConnector::end_coverage_capture,
+                );
+                let provision = |conn: &mut EngineConnector| self.provision_conn(conn);
+                let (summary, connectors, replayed_coverage) =
+                    self.execute(&self.factory(), provision, cache.map(|cache| (cache, capture)));
+                Run { summary, connectors, replayed_coverage, backend_faults: None }
             }
         };
         if let Some(config) = &self.stability {
@@ -549,188 +581,134 @@ impl<'a> Harness<'a> {
         }
     }
 
-    /// Execute on out-of-process workers. The scheduler, runner, and
-    /// event paths are the same as in-process — only the connector
-    /// factory differs, which is the whole point of the redesign: a
-    /// worker process dying mid-file surfaces as transport faults in the
-    /// results, and the suite keeps going.
-    fn run_subprocess(&self) -> Run {
-        let BackendSpec::Subprocess { bin, deadline, max_restarts } = &self.backend else {
-            unreachable!("run_subprocess is only called for subprocess backends");
-        };
-        let bin = bin
-            .clone()
-            .or_else(discover_worker_bin)
-            // Last resort: let the OS search PATH at spawn time.
-            .unwrap_or_else(|| std::path::PathBuf::from("squality-backend-worker"));
-        let mut factory = SubprocessConnectorFactory::new(bin, self.host, self.client)
-            .with_faults(self.faults)
-            .deadline(*deadline)
-            .max_restarts(*max_restarts);
-        for (key, value) in std::env::vars() {
-            // Forward the fault-injection hooks so crash-containment
-            // tests (and CI fault legs) reach the workers.
-            if key == "SQUALITY_CRASH_AFTER" || key == "SQUALITY_HANG_AFTER" {
-                factory = factory.env(&key, &value);
-            }
-        }
-        // Explicit per-harness entries land after the forwarded ones, so
-        // they win (Command::env is last-wins) — seeded stability-arm
-        // schedules override whatever the parent process carries.
-        for (key, value) in &self.backend_env {
-            factory = factory.env(key, value);
-        }
-        let stats = factory.stats();
-        let runner = self.runner();
-        let files = self.source.files();
-        let prepare = |conn: &mut SubprocessConnector| self.provision_subprocess(conn);
-        let execution = if self.observers.is_empty() {
-            runner.run_suite_with(&factory, files, self.workers, prepare)
-        } else {
-            let fanout = FanoutObserver(&self.observers);
-            runner.run_suite_observed(&factory, files, self.workers, &self.label, prepare, &fanout)
-        };
-        let mut summary = summarize(self.source.kind(), self.host, &execution.results);
-        summary.translation = runner.translation_stats.counts();
-        Run {
-            summary,
-            connectors: Vec::new(),
-            replayed_coverage: Coverage::new(),
-            backend_faults: Some(stats.snapshot()),
-        }
-    }
-
-    fn run_uncached(&self) -> Run {
-        let factory = self.factory();
-        let runner = self.runner();
-        let files = self.source.files();
-        let prepare = |conn: &mut EngineConnector| self.provision_conn(conn);
-        let execution = if self.observers.is_empty() {
-            runner.run_suite_with(&factory, files, self.workers, prepare)
-        } else {
-            let fanout = FanoutObserver(&self.observers);
-            runner.run_suite_observed(&factory, files, self.workers, &self.label, prepare, &fanout)
-        };
-        let mut summary = summarize(self.source.kind(), self.host, &execution.results);
-        summary.translation = runner.translation_stats.counts();
-        Run {
-            summary,
-            connectors: execution.connectors,
-            replayed_coverage: Coverage::new(),
-            backend_faults: None,
-        }
-    }
-
-    /// The cache-aware execution path: replay hits, execute only stale
-    /// files (recording per-file results, translation deltas, and
-    /// coverage for storage), and stitch everything back in input order.
+    /// The one execution path, for any connector factory: replay the
+    /// cache hits, run the remaining files through the scheduler (each
+    /// on a fresh connection `provision`ed first), store what ran, and
+    /// stitch everything back in input order between the suite events.
     ///
-    /// Suite-level events are always emitted live — only per-file event
-    /// blocks replay — and the [`JsonlObserver`](squality_runner::JsonlObserver)
-    /// orders blocks by input index, so the log is byte-identical to a
-    /// cold run's whatever mix of hits and misses occurred. Summary
-    /// translation counters are summed from per-file deltas, which equals
-    /// the shared-counter total of an uncached run because counters record
-    /// per execution.
-    fn run_cached(&self, cache: Arc<ResultCache>) -> Run {
-        let started = std::time::Instant::now();
+    /// With a cache, each file that runs is bracketed by the `capture`
+    /// pair so its coverage is recorded alongside its result. Suite-level
+    /// events are always emitted live — only per-file event blocks replay
+    /// — and the [`JsonlObserver`](squality_runner::JsonlObserver) orders
+    /// blocks by input index, so the log is byte-identical whatever mix
+    /// of hits and misses occurred. Summary translation counters are
+    /// summed from per-file deltas, which equals a shared-counter total
+    /// because counters record per execution.
+    fn execute<F: ConnectorFactory>(
+        &self,
+        factory: &F,
+        provision: impl Fn(&mut F::Conn) + Sync,
+        cache: Option<(&ResultCache, CoverageCapture<F::Conn>)>,
+    ) -> (SuiteRunSummary, Vec<F::Conn>, Coverage) {
         let files = self.source.files();
-        let keys = self.file_keys();
         let fanout = FanoutObserver(&self.observers);
-        let observed = !self.observers.is_empty();
-        let factory = self.factory();
-        if observed {
-            let info = squality_runner::ConnectorFactory::info(&factory);
-            fanout.on_event(&RunEvent::SuiteStarted {
-                label: &self.label,
-                files: files.len(),
-                connector: &info,
-            });
-        }
+        let observer = (!self.observers.is_empty()).then_some(&fanout as &dyn RunObserver);
+        let started = self.open_suite(observer, || factory.info());
 
-        let mut cached: Vec<Option<CachedFileRun>> = keys.iter().map(|k| cache.lookup(k)).collect();
-        let stale: Vec<(usize, &TestFile)> = cached
-            .iter()
-            .enumerate()
-            .filter(|(_, entry)| entry.is_none())
-            .map(|(i, _)| (i, &files[i]))
-            .collect();
-        if observed {
-            for (i, entry) in cached.iter().enumerate() {
-                if let Some(run) = entry {
-                    replay_file_events(&fanout, i, &run.result);
+        let keys = if cache.is_some() { self.file_keys() } else { Vec::new() };
+        let hits: Vec<Option<CachedFileRun>> = match cache {
+            Some((store, _)) => keys.iter().map(|key| store.lookup(key)).collect(),
+            None => files.iter().map(|_| None).collect(),
+        };
+        let stale: Vec<(usize, &TestFile)> =
+            files.iter().enumerate().filter(|(i, _)| hits[*i].is_none()).collect();
+        if let Some(observer) = observer {
+            for (i, hit) in hits.iter().enumerate() {
+                if let Some(hit) = hit {
+                    replay_file_events(observer, i, &hit.result);
                 }
             }
         }
 
-        let (records, connectors) = if stale.is_empty() {
-            (Vec::new(), Vec::new())
-        } else {
-            let runner = self.runner();
-            let captured: Mutex<Vec<(usize, Coverage)>> = Mutex::new(Vec::new());
-            let (records, connectors) = runner.run_files_recorded(
-                &factory,
-                &stale,
-                self.workers,
-                |conn: &mut EngineConnector| {
-                    // Open the per-file coverage window before provisioning
-                    // so provision hits are captured too — a cold run's
-                    // connector accumulates them the same way.
-                    conn.begin_coverage_capture();
-                    self.provision_conn(conn);
-                },
-                |conn: &mut EngineConnector, index: usize| {
-                    let window = conn.end_coverage_capture();
-                    captured.lock().expect("coverage capture poisoned").push((index, window));
-                },
-                observed.then_some(&fanout as &dyn RunObserver),
-            );
-            let captured = captured.into_inner().expect("coverage capture poisoned");
-            for record in &records {
-                let coverage = captured
-                    .iter()
-                    .find(|(i, _)| *i == record.index)
-                    .map(|(_, c)| c.clone())
-                    .unwrap_or_default();
-                cache.store(
-                    &keys[record.index],
-                    &CachedFileRun {
-                        result: record.result.clone(),
-                        translation: record.translation,
-                        coverage,
-                    },
-                );
-            }
-            (records, connectors)
-        };
+        // Open the per-file coverage window before provisioning so
+        // provision hits are captured too — a run without the cache
+        // accumulates them on its connectors the same way.
+        let captured: Mutex<BTreeMap<usize, Coverage>> = Mutex::new(BTreeMap::new());
+        let (records, connectors) = self.runner().run_files(
+            factory,
+            &stale,
+            self.workers,
+            |conn| {
+                if let Some((_, (begin, _))) = cache {
+                    begin(conn);
+                }
+                provision(conn);
+            },
+            |conn, index| {
+                if let Some((_, (_, end))) = cache {
+                    let window = end(conn);
+                    captured.lock().expect("coverage capture poisoned").insert(index, window);
+                }
+            },
+            observer,
+        );
+        let mut captured = captured.into_inner().expect("coverage capture poisoned");
 
-        let mut fresh: std::collections::BTreeMap<usize, FileRunRecord> =
-            records.into_iter().map(|r| (r.index, r)).collect();
+        let mut records = records.into_iter();
         let mut results = Vec::with_capacity(files.len());
         let mut translation = TranslationCounts::default();
         let mut replayed_coverage = Coverage::new();
-        for (i, entry) in cached.iter_mut().enumerate() {
-            if let Some(run) = entry.take() {
-                translation.merge(&run.translation);
-                replayed_coverage.union_with(&run.coverage);
-                results.push(run.result);
-            } else {
-                let record = fresh.remove(&i).expect("scheduler ran every stale file");
-                translation.merge(&record.translation);
-                results.push(record.result);
-            }
+        for hit in hits {
+            let run = match hit {
+                Some(hit) => {
+                    replayed_coverage.union_with(&hit.coverage);
+                    hit
+                }
+                None => {
+                    let record = records.next().expect("scheduler ran every stale file");
+                    let coverage = captured.remove(&record.index).unwrap_or_default();
+                    let run = CachedFileRun {
+                        result: record.result,
+                        translation: record.translation,
+                        coverage,
+                    };
+                    if let Some((store, _)) = cache {
+                        store.store(&keys[record.index], &run);
+                    }
+                    run
+                }
+            };
+            translation.merge(&run.translation);
+            results.push(run.result);
         }
-        if observed {
-            emit_suite_finished(
-                &fanout,
-                &self.label,
-                &results,
-                started.elapsed().as_nanos() as u64,
-            );
+        (self.close_suite(observer, started, &results, translation), connectors, replayed_coverage)
+    }
+
+    /// Open a suite: `SuiteStarted` (with the connection metadata `info`
+    /// reports) to the observer, and the clock `close_suite` reads.
+    fn open_suite(
+        &self,
+        observer: Option<&dyn RunObserver>,
+        info: impl FnOnce() -> ConnectorInfo,
+    ) -> Instant {
+        let started = Instant::now();
+        if let Some(observer) = observer {
+            let info = info();
+            observer.on_event(&RunEvent::SuiteStarted {
+                label: &self.label,
+                files: self.source.files().len(),
+                connector: &info,
+            });
         }
-        let mut summary = summarize(self.source.kind(), self.host, &results);
+        started
+    }
+
+    /// Close a suite: `SuiteFinished` to the observer, then the summary
+    /// of `results` carrying `translation`.
+    fn close_suite(
+        &self,
+        observer: Option<&dyn RunObserver>,
+        started: Instant,
+        results: &[FileResult],
+        translation: TranslationCounts,
+    ) -> SuiteRunSummary {
+        if let Some(observer) = observer {
+            let elapsed = started.elapsed().as_nanos() as u64;
+            emit_suite_finished(observer, &self.label, results, elapsed);
+        }
+        let mut summary = summarize(self.source.kind(), self.host, results);
         summary.translation = translation;
-        Run { summary, connectors, replayed_coverage, backend_faults: None }
+        summary
     }
 
     /// Execute sequentially on one existing, caller-owned connection —
@@ -739,42 +717,26 @@ impl<'a> Harness<'a> {
     /// stream as a 1-worker [`Harness::run`].
     pub fn run_on(&self, conn: &mut EngineConnector) -> SuiteRunSummary {
         let runner = self.runner();
-        let files = self.source.files();
         let fanout = FanoutObserver(&self.observers);
-        let observed = !self.observers.is_empty();
-        let started = std::time::Instant::now();
-        if observed {
-            let info = conn.info();
-            fanout.on_event(&RunEvent::SuiteStarted {
-                label: &self.label,
-                files: files.len(),
-                connector: &info,
-            });
-        }
-        let mut results = Vec::with_capacity(files.len());
-        for (i, file) in files.iter().enumerate() {
+        let observer = (!self.observers.is_empty()).then_some(&fanout as &dyn RunObserver);
+        let started = self.open_suite(observer, || conn.info());
+        let mut results = Vec::with_capacity(self.source.files().len());
+        for (i, file) in self.source.files().iter().enumerate() {
             // Fresh database per file, then provision per the config.
             conn.reset();
             self.provision_conn(conn);
-            results.push(if observed {
-                runner.run_file_observed(conn, file, i, &fanout)
-            } else {
-                runner.run_file(conn, file)
+            results.push(match observer {
+                Some(observer) => runner.run_file_observed(conn, file, i, observer),
+                None => runner.run_file(conn, file),
             });
         }
-        if observed {
-            squality_runner::events::emit_suite_finished(
-                &fanout,
-                &self.label,
-                &results,
-                started.elapsed().as_nanos() as u64,
-            );
-        }
-        let mut summary = summarize(self.source.kind(), self.host, &results);
-        summary.translation = runner.translation_stats.counts();
-        summary
+        self.close_suite(observer, started, &results, runner.translation_stats.counts())
     }
 }
+
+/// The coverage capture window a cached run brackets each executed file
+/// with: open on the freshly-reset connection, close after the file.
+type CoverageCapture<C> = (fn(&mut C), fn(&mut C) -> Coverage);
 
 #[cfg(test)]
 mod tests {
@@ -844,6 +806,75 @@ mod tests {
         assert!(log.contains("\"label\":\"probe\""), "{log}");
         assert!(log.contains("\"engine\":\"mysql\""), "{log}");
         assert!(log.contains("\"outcome\":\"pass\""), "{log}");
+    }
+
+    #[test]
+    fn suite_events_bracket_every_run_path() {
+        let gs = generate_suite_scaled(SuiteKind::Slt, 9, 0.04);
+        let dir =
+            std::env::temp_dir().join(format!("squality-harness-events-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ResultCache::shared(&dir);
+        let log = |workers: usize, cache: Option<&Arc<ResultCache>>| {
+            let events = JsonlObserver::new();
+            let mut builder = Harness::builder()
+                .suite(&gs)
+                .host(EngineDialect::Postgres)
+                .workers(workers)
+                .label("bracketed")
+                .observer(&events);
+            if let Some(cache) = cache {
+                builder = builder.result_cache(Arc::clone(cache));
+            }
+            let run = builder.build().unwrap().run();
+            (run.summary, events.log())
+        };
+        let (summary, base) = log(1, None);
+        let lines: Vec<&str> = base.lines().collect();
+        // Exactly one SuiteStarted first and one SuiteFinished last, with
+        // one per-file block for every file in between.
+        assert!(lines[0].contains("\"event\":\"suite_started\""), "{}", lines[0]);
+        assert!(lines[0].contains("\"label\":\"bracketed\""), "{}", lines[0]);
+        let last = lines.last().unwrap();
+        assert!(last.contains("\"event\":\"suite_finished\""), "{last}");
+        assert!(last.contains(&format!("\"passed\":{}", summary.passed)), "{last}");
+        assert_eq!(base.matches("\"event\":\"suite_started\"").count(), 1);
+        assert_eq!(base.matches("\"event\":\"suite_finished\"").count(), 1);
+        assert_eq!(base.matches("\"event\":\"file_started\"").count(), gs.files.len());
+        // Uncached, cold cache and warm cache emit the same log at any
+        // worker count.
+        for workers in [1, 2, 8] {
+            assert_eq!(log(workers, None).1, base, "uncached, workers={workers}");
+            let _ = std::fs::remove_dir_all(&dir);
+            assert_eq!(log(workers, Some(&cache)).1, base, "cold cache, workers={workers}");
+            assert_eq!(log(workers, Some(&cache)).1, base, "warm cache, workers={workers}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unreachable_backend_is_a_crashed_suite_not_a_panic() {
+        let gs = generate_suite_scaled(SuiteKind::Slt, 9, 0.04);
+        let events = JsonlObserver::new();
+        let bin = std::path::PathBuf::from("/nonexistent/squality-backend-worker");
+        let run = Harness::builder()
+            .suite(&gs)
+            .backend(BackendSpec::Subprocess {
+                bin: Some(bin),
+                deadline: std::time::Duration::from_secs(1),
+                max_restarts: 0,
+            })
+            .workers(2)
+            .observer(&events)
+            .build()
+            .unwrap()
+            .run();
+        let n = gs.files.len();
+        assert_eq!(run.summary.crashes.len(), n, "every file is one connect-failure crash");
+        let log = events.log();
+        assert_eq!(log.matches("\"event\":\"file_finished\"").count(), n);
+        let last = log.lines().last().unwrap();
+        assert!(last.contains(&format!("\"crashes\":{n}")), "{last}");
     }
 
     #[test]

@@ -57,10 +57,10 @@
 //! Or reproduce the whole evaluation:
 //!
 //! ```no_run
-//! use squality_core::{full_report, run_study, StudyConfig};
+//! use squality_core::{full_report, run_study_cached, StudyConfig};
 //!
 //! let config = StudyConfig::default().with_seed(42).with_scale(0.1);
-//! let study = run_study(config);
+//! let study = run_study_cached(config, &[], None);
 //! println!("{}", full_report(&study));
 //! ```
 
@@ -77,14 +77,12 @@ pub use cache::{
     default_cache_dir, CachedFileRun, CellSpec, FileKey, ResultCache, ResultCodec, SCHEMA_VERSION,
 };
 pub use experiments::{
-    dependency_breakdown, difficulty_summary, incompatibility_breakdown, run_study,
-    run_study_cached, run_study_with_observers, BugFinding, CoverageRow, MatrixCell, Study,
-    StudyConfig, EXECUTED_SUITES,
+    dependency_breakdown, difficulty_summary, incompatibility_breakdown, run_study_cached,
+    BugFinding, CoverageRow, MatrixCell, Study, StudyConfig, EXECUTED_SUITES,
 };
 pub use harness::{Harness, HarnessBuilder, HarnessError, Run};
 pub use replay::{
-    replay_store, replay_store_with_observers, ReplayConfig, ReplayEntry, ReplayReport,
-    ReplayStatus,
+    replay_store_with_observers, ReplayConfig, ReplayEntry, ReplayReport, ReplayStatus,
 };
 pub use report::{
     bug_report, bug_store_table, figure1, figure2, figure3, figure4, full_report, replay_table,

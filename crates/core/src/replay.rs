@@ -144,16 +144,11 @@ impl ReplayReport {
     }
 }
 
-/// Replay every verified entry of `store`. See the module docs.
-pub fn replay_store(store: &BugStore, config: &ReplayConfig) -> ReplayReport {
-    replay_store_with_observers(store, config, &[])
-}
-
-/// [`replay_store`], streaming each group run's
-/// [`RunEvent`](squality_runner::RunEvent)s to the observers. Groups
-/// execute sequentially in a deterministic order (cell configuration,
-/// then environment hash), so the combined event log is byte-identical
-/// at every worker count.
+/// Replay every verified entry of `store`, streaming each group run's
+/// [`RunEvent`](squality_runner::RunEvent)s to the observers (pass `&[]`
+/// for none). See the module docs. Groups execute sequentially in a
+/// deterministic order (cell configuration, then environment hash), so
+/// the combined event log is byte-identical at every worker count.
 pub fn replay_store_with_observers(
     store: &BugStore,
     config: &ReplayConfig,
@@ -295,8 +290,8 @@ fn group_key(entry: &BugEntry) -> GroupKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{run_study, StudyConfig};
-    use crate::triage::{triage_study, TriageConfig};
+    use crate::experiments::shared_study;
+    use crate::triage::{triage_study_with_observers, TriageConfig};
     use std::sync::Arc;
 
     fn temp_store(tag: &str) -> Arc<BugStore> {
@@ -307,14 +302,13 @@ mod tests {
     }
 
     fn populated_store(tag: &str) -> Arc<BugStore> {
-        let study = run_study(StudyConfig::default().with_seed(21).with_scale(0.06));
         let store = temp_store(tag);
         let config = TriageConfig::default()
             .with_reduce(true)
             .with_workers(2)
             .with_max_probes(48)
             .with_store(Arc::clone(&store));
-        triage_study(&study, &config);
+        triage_study_with_observers(shared_study(21, 0.06), &config, &[]);
         store
     }
 
@@ -327,7 +321,8 @@ mod tests {
             .filter(|(_, e)| e.reproduced && !e.repro_text.is_empty())
             .count();
         assert!(verified > 0, "triage stored no verified repros");
-        let report = replay_store(&store, &ReplayConfig::default().with_workers(2));
+        let report =
+            replay_store_with_observers(&store, &ReplayConfig::default().with_workers(2), &[]);
         assert_eq!(report.entries.len(), verified);
         assert_eq!(report.skipped, store.entries().len() - verified);
         // Nothing changed between triage and replay: every repro must
@@ -344,10 +339,15 @@ mod tests {
     #[test]
     fn replay_is_deterministic_across_worker_counts() {
         let store = populated_store("determinism");
-        let base = replay_store(&store, &ReplayConfig::default().with_workers(1));
+        let base =
+            replay_store_with_observers(&store, &ReplayConfig::default().with_workers(1), &[]);
         let base_table = crate::report::replay_table(&base);
         for workers in [2, 8] {
-            let got = replay_store(&store, &ReplayConfig::default().with_workers(workers));
+            let got = replay_store_with_observers(
+                &store,
+                &ReplayConfig::default().with_workers(workers),
+                &[],
+            );
             assert_eq!(
                 crate::report::replay_table(&got),
                 base_table,
@@ -368,13 +368,15 @@ mod tests {
         // A repro that cannot fail: the entry must read as fixed.
         entry.repro_text = "statement ok\nSELECT 1\n".to_string();
         store.store(&entry);
-        let report = replay_store(&store, &ReplayConfig::default().with_workers(2));
+        let report =
+            replay_store_with_observers(&store, &ReplayConfig::default().with_workers(2), &[]);
         let replayed = report.entries.iter().find(|e| e.key == key).expect("entry replayed");
         assert_eq!(replayed.status, ReplayStatus::Fixed);
         // A repro failing with a different signature: regressed.
         entry.repro_text = "statement ok\nSELECT no_such_fn_xyz(1)\n".to_string();
         store.store(&entry);
-        let report = replay_store(&store, &ReplayConfig::default().with_workers(2));
+        let report =
+            replay_store_with_observers(&store, &ReplayConfig::default().with_workers(2), &[]);
         let replayed = report.entries.iter().find(|e| e.key == key).expect("entry replayed");
         assert_eq!(replayed.status, ReplayStatus::Regressed);
         assert!(replayed.observed.is_some(), "regression carries the observed signature");

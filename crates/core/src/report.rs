@@ -660,16 +660,12 @@ pub fn full_report(study: &Study) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{run_study, StudyConfig};
-
-    fn study() -> Study {
-        run_study(StudyConfig::default().with_seed(77).with_scale(0.06))
-    }
+    use crate::experiments::{run_study_cached, shared_study, StudyConfig};
 
     #[test]
     fn all_sections_render() {
-        let s = study();
-        let report = full_report(&s);
+        let s = shared_study(77, 0.06);
+        let report = full_report(s);
         for needle in [
             "Table 1",
             "Figure 1",
@@ -692,22 +688,24 @@ mod tests {
 
     #[test]
     fn translation_table_reports_rules_and_reduction() {
-        let s = study();
-        let t = translation_table(&s);
+        let s = shared_study(77, 0.06);
+        let t = translation_table(s);
         assert!(t.contains("type names"));
         assert!(t.contains("function renames"));
         assert!(t.contains("Statement executions translated"));
         // Without the arm, the table degrades gracefully.
-        let bare = run_study(
+        let bare = run_study_cached(
             StudyConfig::default().with_seed(77).with_scale(0.04).with_translated_arm(false),
+            &[],
+            None,
         );
         assert!(translation_table(&bare).contains("translated arm not run"));
     }
 
     #[test]
     fn table2_has_paper_counts() {
-        let s = study();
-        let t = table2(&s);
+        let s = shared_study(77, 0.06);
+        let t = table2(s);
         assert!(t.contains("112"));
         assert!(t.contains("114 (CLI)"));
         assert!(t.contains("16"));
@@ -715,8 +713,8 @@ mod tests {
 
     #[test]
     fn figure4_mentions_paper_values() {
-        let s = study();
-        let f = figure4(&s);
+        let s = shared_study(77, 0.06);
+        let f = figure4(s);
         assert!(f.contains("[30.51%]"));
         assert!(f.contains("[98.11%]"));
     }

@@ -36,13 +36,13 @@
 //! # Example
 //!
 //! ```
-//! use squality_core::{run_study, StabilityConfig, StudyConfig};
+//! use squality_core::{run_study_cached, StabilityConfig, StudyConfig};
 //!
 //! let config = StudyConfig::default()
 //!     .with_scale(0.04)
 //!     .with_seed(7)
 //!     .with_stability_arm(StabilityConfig::default().with_reruns(2));
-//! let study = run_study(config);
+//! let study = run_study_cached(config, &[], None);
 //! let report = study.stability.as_ref().expect("stability arm ran");
 //! // Every cluster and every bug finding received a verdict…
 //! assert_eq!(report.total(), report.clusters.len() + report.bugs.len());
@@ -57,15 +57,14 @@
 use crate::experiments::Study;
 use crate::harness::Harness;
 use crate::transplant::{Provision, SuiteRunSummary};
-use crate::triage::{cluster_failures, effective_workers, Arm, CellRef};
+use crate::triage::{cluster_failures, Arm, CellRef};
 use squality_backend::BackendSpec;
 use squality_corpus::DonorEnvironment;
 use squality_engine::{ClientKind, EngineDialect, ExecStrategy, FaultProfile, PlanCache};
 use squality_formats::{RecordId, SuiteKind, TestFile};
+use squality_runner::pool::map_ordered;
 use squality_runner::{EngineConnector, FailureSignature, Outcome, PerturbationAxis, Stability};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Parameters of the stability arm.
@@ -400,31 +399,13 @@ pub(crate) fn annotate_summary(
     }
 }
 
-/// Classify every target over a worker pool. Verdicts come back in
-/// target order regardless of worker count: each worker claims the next
-/// index and writes its own slot, exactly the triage reducer's stitching
-/// discipline.
+/// Classify every target over the ordered worker pool: verdicts come
+/// back in target order regardless of worker count.
 fn classify_targets(targets: &[Target<'_>], config: &StabilityConfig) -> Vec<Stability> {
-    if targets.is_empty() {
-        return Vec::new();
-    }
-    let workers = effective_workers(config.workers, targets.len());
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Stability>>> = targets.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(target) = targets.get(i) else { break };
-                let verdict = classify_target(target, i, config);
-                *slots[i].lock().expect("stability slot poisoned") = Some(verdict);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("stability slot poisoned").expect("every slot is filled"))
-        .collect()
+    map_ordered(targets, config.workers, |_: &mut Option<()>, i, target| {
+        classify_target(target, i, config)
+    })
+    .0
 }
 
 /// The rerun + perturbation matrix for one target. Baseline reruns come
@@ -605,14 +586,16 @@ fn strip(signature: &FailureSignature) -> FailureSignature {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{run_study, StudyConfig};
+    use crate::experiments::{run_study_cached, StudyConfig};
 
     fn stable_study() -> Study {
-        run_study(
+        run_study_cached(
             StudyConfig::default()
                 .with_seed(21)
                 .with_scale(0.06)
                 .with_stability_arm(StabilityConfig::default().with_reruns(2)),
+            &[],
+            None,
         )
     }
 
@@ -687,10 +670,10 @@ mod tests {
 
     #[test]
     fn stability_table_is_deterministic_across_worker_counts() {
-        let study = run_study(StudyConfig::default().with_seed(21).with_scale(0.05));
+        let study = crate::experiments::shared_study(21, 0.05);
         let run = |workers: usize| {
             stability_report(
-                &study,
+                study,
                 &StabilityConfig::default().with_reruns(2).with_workers(workers),
             )
         };

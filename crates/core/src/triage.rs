@@ -26,11 +26,11 @@
 //! # Example
 //!
 //! ```
-//! use squality_core::{run_study, StudyConfig};
-//! use squality_core::triage::{triage_study, TriageConfig};
+//! use squality_core::{run_study_cached, StudyConfig};
+//! use squality_core::triage::{triage_study_with_observers, TriageConfig};
 //!
-//! let study = run_study(StudyConfig::default().with_scale(0.04).with_seed(7));
-//! let report = triage_study(&study, &TriageConfig::default());
+//! let study = run_study_cached(StudyConfig::default().with_scale(0.04).with_seed(7), &[], None);
+//! let report = triage_study_with_observers(&study, &TriageConfig::default(), &[]);
 //! assert!(report.clusters.len() > 0);
 //! assert!(report.dedup_factor() > 1.0);
 //! // Every cluster knows its taxonomy class and an exemplar record.
@@ -49,9 +49,9 @@ use squality_formats::{
     parse_slt, slice, write_duckdb, ControlCommand, RecordId, RecordKind, SltFlavor, SuiteKind,
     TestFile, TestRecord,
 };
+use squality_runner::pool::map_ordered;
 use squality_runner::{EngineConnector, FailureSignature, Outcome, RunObserver, TaxonomyContext};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Which execution arm of the study a failure came from.
@@ -369,15 +369,12 @@ pub fn cluster_failures(study: &Study) -> (usize, Vec<FailureCluster>) {
 
 /// Run the full triage pipeline over a finished study: cluster, then (when
 /// configured) reduce one exemplar per cluster. See the module docs.
-pub fn triage_study(study: &Study, config: &TriageConfig) -> TriageReport {
-    triage_study_with_observers(study, config, &[])
-}
-
-/// [`triage_study`], streaming each cluster's standalone verification run
-/// as [`RunEvent`](squality_runner::RunEvent)s to the observers — a
-/// [`ProgressObserver`](squality_runner::ProgressObserver) shows one line
-/// per verified cluster. (Inner ddmin probes are not streamed: clusters
-/// reduce in parallel and probe volume is high.)
+///
+/// Each cluster's standalone verification run streams as
+/// [`RunEvent`](squality_runner::RunEvent)s to the observers (pass `&[]`
+/// for none) — a [`ProgressObserver`](squality_runner::ProgressObserver)
+/// shows one line per verified cluster. (Inner ddmin probes are not
+/// streamed: clusters reduce in parallel and probe volume is high.)
 ///
 /// Clusters reduce concurrently, but observed verification runs are
 /// serialized through an internal lock: observers see whole suites one
@@ -406,43 +403,22 @@ pub fn triage_study_with_observers(
 
     let started = std::time::Instant::now();
     let plan_cache = PlanCache::shared();
-    let workers = effective_workers(config.workers, report.clusters.len());
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Reduction>>> =
-        report.clusters.iter().map(|_| Mutex::new(None)).collect();
     // Serializes the observed verification runs (see the rustdoc above).
     let observer_gate = Mutex::new(());
-    let clusters = &report.clusters;
-    let (added, reused, refreshed) =
-        (AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0));
+    let (outcomes, _) =
+        map_ordered(&report.clusters, config.workers, |_: &mut Option<()>, i, cluster| {
+            process_cluster(study, cluster, i, config, &plan_cache, observers, &observer_gate)
+        });
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cluster) = clusters.get(i) else { break };
-                let (reduction, action) = process_cluster(
-                    study,
-                    cluster,
-                    i,
-                    config,
-                    &plan_cache,
-                    observers,
-                    &observer_gate,
-                );
-                match action {
-                    Some(StoreAction::Added) => added.fetch_add(1, Ordering::Relaxed),
-                    Some(StoreAction::Reused) => reused.fetch_add(1, Ordering::Relaxed),
-                    Some(StoreAction::Refreshed) => refreshed.fetch_add(1, Ordering::Relaxed),
-                    None => 0,
-                };
-                *slots[i].lock().expect("reduction slot poisoned") = reduction;
-            });
+    let mut store_stats = TriageStoreStats::default();
+    for (reduction, action) in outcomes {
+        match action {
+            Some(StoreAction::Added) => store_stats.added += 1,
+            Some(StoreAction::Reused) => store_stats.reused += 1,
+            Some(StoreAction::Refreshed) => store_stats.refreshed += 1,
+            None => {}
         }
-    });
-
-    for slot in slots {
-        if let Some(reduction) = slot.into_inner().expect("reduction slot poisoned") {
+        if let Some(reduction) = reduction {
             report.stats.probes += reduction.probes;
             report.stats.records_before += reduction.original_records;
             report.stats.records_after += reduction.reduced_records;
@@ -450,11 +426,7 @@ pub fn triage_study_with_observers(
         }
     }
     if config.store.is_some() {
-        report.store_stats = Some(TriageStoreStats {
-            added: added.into_inner(),
-            reused: reused.into_inner(),
-            refreshed: refreshed.into_inner(),
-        });
+        report.store_stats = Some(store_stats);
     }
     // Advisory only — excluded from the determinism contract.
     report.stats.elapsed_nanos = started.elapsed().as_nanos() as u64;
@@ -654,15 +626,6 @@ fn cell_counters(study: &Study, cell: CellRef) -> squality_runner::TranslationCo
             .map(|c| c.summary.translation),
     }
     .unwrap_or_default()
-}
-
-pub(crate) fn effective_workers(requested: usize, jobs: usize) -> usize {
-    let requested = if requested == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        requested
-    };
-    requested.clamp(1, jobs.max(1))
 }
 
 /// Reduce one cluster's exemplar file to a minimal slice still failing
@@ -962,16 +925,12 @@ pub struct FileReduction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{run_study, StudyConfig};
-
-    fn study() -> Study {
-        run_study(StudyConfig::default().with_seed(21).with_scale(0.06))
-    }
+    use crate::experiments::shared_study;
 
     #[test]
     fn clustering_dedupes_heavily() {
-        let s = study();
-        let (total, clusters) = cluster_failures(&s);
+        let s = shared_study(21, 0.06);
+        let (total, clusters) = cluster_failures(s);
         assert!(total > 0);
         assert!(!clusters.is_empty());
         assert!(
@@ -992,8 +951,8 @@ mod tests {
 
     #[test]
     fn clusters_span_cells() {
-        let s = study();
-        let (_, clusters) = cluster_failures(&s);
+        let s = shared_study(21, 0.06);
+        let (_, clusters) = cluster_failures(s);
         // Cross-DBMS root causes afflict several cells (the same missing
         // function fails on every non-donor host).
         assert!(
@@ -1005,9 +964,9 @@ mod tests {
 
     #[test]
     fn reduction_minimizes_and_verifies() {
-        let s = study();
+        let s = shared_study(21, 0.06);
         let config = TriageConfig::default().with_reduce(true).with_workers(2).with_max_probes(96);
-        let report = triage_study(&s, &config);
+        let report = triage_study_with_observers(s, &config, &[]);
         assert!(!report.reductions.is_empty(), "no cluster reduced");
         let verified = report.verified_repros().count();
         assert!(verified > 0, "no reduction verified standalone");
@@ -1030,14 +989,15 @@ mod tests {
 
     #[test]
     fn triage_is_deterministic_across_worker_counts() {
-        let s = study();
+        let s = shared_study(21, 0.06);
         let run = |workers: usize| {
-            triage_study(
-                &s,
+            triage_study_with_observers(
+                s,
                 &TriageConfig::default()
                     .with_reduce(true)
                     .with_workers(workers)
                     .with_max_probes(48),
+                &[],
             )
         };
         let base = run(1);
@@ -1074,14 +1034,14 @@ mod tests {
 
     #[test]
     fn second_store_run_reuses_every_cluster_with_zero_probes() {
-        let s = study();
+        let s = shared_study(21, 0.06);
         let store = temp_store("incremental");
         let config = TriageConfig::default()
             .with_reduce(true)
             .with_workers(2)
             .with_max_probes(48)
             .with_store(Arc::clone(&store));
-        let cold = triage_study(&s, &config);
+        let cold = triage_study_with_observers(s, &config, &[]);
         let cold_stats = cold.store_stats.expect("store stats present");
         assert_eq!(cold_stats.added, cold.clusters.len(), "every cluster stored");
         assert_eq!((cold_stats.reused, cold_stats.refreshed), (0, 0));
@@ -1089,7 +1049,7 @@ mod tests {
         // Tombstones included: the store holds one entry per cluster.
         assert_eq!(store.entries().len(), cold.clusters.len());
 
-        let warm = triage_study(&s, &config);
+        let warm = triage_study_with_observers(s, &config, &[]);
         let warm_stats = warm.store_stats.expect("store stats present");
         assert_eq!(warm_stats.reused, warm.clusters.len(), "every cluster reused");
         assert_eq!((warm_stats.added, warm_stats.refreshed), (0, 0));
@@ -1110,21 +1070,21 @@ mod tests {
 
     #[test]
     fn stale_semantics_entries_are_reverified_not_reminimized() {
-        let s = study();
+        let s = shared_study(21, 0.06);
         let store = temp_store("stale");
         let config = TriageConfig::default()
             .with_reduce(true)
             .with_workers(2)
             .with_max_probes(48)
             .with_store(Arc::clone(&store));
-        let cold = triage_study(&s, &config);
+        let cold = triage_study_with_observers(s, &config, &[]);
         // Age every entry: pretend it was verified under older engine
         // semantics.
         for (_, mut entry) in store.entries() {
             entry.semantics_version = ENGINE_SEMANTICS_VERSION - 1;
             store.store(&entry);
         }
-        let refreshed = triage_study(&s, &config);
+        let refreshed = triage_study_with_observers(s, &config, &[]);
         let stats = refreshed.store_stats.expect("store stats present");
         assert_eq!(stats.refreshed, refreshed.clusters.len(), "every cluster refreshed");
         assert_eq!(stats.reused, 0);
@@ -1137,7 +1097,7 @@ mod tests {
         assert!(verified_cold > 0);
         assert_eq!(single_probe, verified_cold, "verified entries take one probe");
         // The store is current again: a third run reuses everything.
-        let warm = triage_study(&s, &config);
+        let warm = triage_study_with_observers(s, &config, &[]);
         assert_eq!(warm.stats.probes, 0);
         assert_eq!(warm.store_stats.expect("stats").reused, warm.clusters.len());
         store.clear().unwrap();
@@ -1145,14 +1105,14 @@ mod tests {
 
     #[test]
     fn store_entries_carry_provenance() {
-        let s = study();
+        let s = shared_study(21, 0.06);
         let store = temp_store("provenance");
         let config = TriageConfig::default()
             .with_reduce(true)
             .with_workers(2)
             .with_max_probes(48)
             .with_store(Arc::clone(&store));
-        let report = triage_study(&s, &config);
+        let report = triage_study_with_observers(s, &config, &[]);
         let fingerprint = s.config.fingerprint();
         let entries = store.entries();
         assert_eq!(entries.len(), report.clusters.len());

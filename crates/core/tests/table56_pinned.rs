@@ -8,15 +8,15 @@
 //! (seed 77, scale 0.06); the classification the report prints must not
 //! have moved by a byte.
 
-use squality_core::{run_study, table5, table6, StudyConfig};
+use squality_core::{run_study_cached, table5, table6, StudyConfig};
 
 const GOLDEN_TABLE5: &str = include_str!("golden_table5.txt");
 const GOLDEN_TABLE6: &str = include_str!("golden_table6.txt");
 
 #[test]
 fn tables_5_and_6_are_byte_identical_to_the_pre_refactor_baseline() {
-    let study =
-        run_study(StudyConfig::default().with_seed(77).with_scale(0.06).with_translated_arm(false));
+    let config = StudyConfig::default().with_seed(77).with_scale(0.06).with_translated_arm(false);
+    let study = run_study_cached(config, &[], None);
     assert_eq!(table5(&study), GOLDEN_TABLE5, "Table 5 drifted from the pre-refactor baseline");
     assert_eq!(table6(&study), GOLDEN_TABLE6, "Table 6 drifted from the pre-refactor baseline");
 }

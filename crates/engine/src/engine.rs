@@ -106,8 +106,7 @@ impl Engine {
 
     /// New engine with an explicit fault profile.
     pub fn with_faults(dialect: EngineDialect, faults: FaultProfile) -> Engine {
-        let mut coverage = Coverage::new();
-        register_coverage_universe(&mut coverage, dialect);
+        let coverage = coverage_universe(dialect);
         let mut extensions = BTreeSet::new();
         if dialect == EngineDialect::Sqlite {
             // The CLI bundles the series extension (paper Listing 16).
@@ -1296,6 +1295,21 @@ fn stmt_tag(stmt: &Stmt) -> &'static str {
         Stmt::Vacuum => "VACUUM",
         Stmt::Analyze { .. } => "ANALYZE",
     }
+}
+
+/// The coverage a fresh engine of `dialect` starts from: its fixed
+/// universe of registered points, none of them hit. Built once per
+/// dialect and cloned, since every engine construction needs one.
+pub fn coverage_universe(dialect: EngineDialect) -> Coverage {
+    static UNIVERSES: [std::sync::OnceLock<Coverage>; 4] =
+        [const { std::sync::OnceLock::new() }; 4];
+    UNIVERSES[usize::from(dialect.tag())]
+        .get_or_init(|| {
+            let mut coverage = Coverage::new();
+            register_coverage_universe(&mut coverage, dialect);
+            coverage
+        })
+        .clone()
 }
 
 /// Register the fixed coverage universe for a dialect: statement kinds,

@@ -732,7 +732,13 @@ fn divide(env: &QueryEnv<'_>, l: Value, r: Value) -> Result<Value, EngineError> 
     if let (Value::Integer(x), Value::Integer(y)) = (&l, &r) {
         if d.integer_division() {
             env.cov_branch("div:integer");
-            return Ok(Value::Integer(x / y));
+            // Only i64::MIN / -1 overflows: SQLite falls back to a float
+            // result, PostgreSQL reports bigint out of range.
+            return match x.checked_div(*y) {
+                Some(q) => Ok(Value::Integer(q)),
+                None if d == EngineDialect::Sqlite => Ok(Value::Float(*x as f64 / *y as f64)),
+                None => Err(overflow_error(d)),
+            };
         }
         env.cov_branch("div:decimal");
         return Ok(Value::Float(*x as f64 / *y as f64));
@@ -768,7 +774,8 @@ fn modulo(env: &QueryEnv<'_>, l: Value, r: Value) -> Result<Value, EngineError> 
                 _ => Ok(Value::Null),
             };
         }
-        return Ok(Value::Integer(a % b));
+        // i64::MIN % -1 overflows in Rust; every engine defines it as 0.
+        return Ok(Value::Integer(a.wrapping_rem(b)));
     }
     let a = numeric_coerce(d, &l)?;
     let b = numeric_coerce(d, &r)?;

@@ -203,7 +203,8 @@ pub fn call_scalar(
             }
             match (args[0].as_i64(), args[1].as_i64()) {
                 (Some(_), Some(0)) => Value::Null,
-                (Some(a), Some(b)) => Value::Integer(a % b),
+                // i64::MIN mod -1 is 0, not an overflow.
+                (Some(a), Some(b)) => Value::Integer(a.wrapping_rem(b)),
                 _ if args.iter().any(Value::is_null) => Value::Null,
                 _ => Value::Float(coerce_num(&args[0], d)? % coerce_num(&args[1], d)?),
             }

@@ -53,7 +53,8 @@ pub use client::{render_value, ClientKind};
 pub use coverage::Coverage;
 pub use dialect::EngineDialect;
 pub use engine::{
-    execution_fingerprint, Engine, QueryResult, DEFAULT_STEP_BUDGET, ENGINE_SEMANTICS_VERSION,
+    coverage_universe, execution_fingerprint, Engine, QueryResult, DEFAULT_STEP_BUDGET,
+    ENGINE_SEMANTICS_VERSION,
 };
 pub use env::ExecStrategy;
 pub use error::{EngineError, ErrorKind};

@@ -87,6 +87,34 @@ fn integer_overflow_matrix() {
 }
 
 #[test]
+fn min_int_modulo_minus_one_is_zero_everywhere() {
+    // i64::MIN % -1 is the one remainder that overflows a machine
+    // division; SQLite, PostgreSQL and MySQL special-case it to 0.
+    for sql in [
+        "SELECT -9223372036854775808 % -1",
+        "SELECT mod(-9223372036854775808, -1)",
+        "SELECT (-9223372036854775807 - 1) % -1",
+    ] {
+        let sig = signature(sql);
+        for d in EngineDialect::ALL {
+            assert_eq!(outcome_of(&sig, d), "0", "{d}: {sql}");
+        }
+    }
+}
+
+#[test]
+fn min_int_divided_by_minus_one_matrix() {
+    // Integer division overflows only for i64::MIN / -1. SQLite falls
+    // back to a float quotient; PostgreSQL reports out of range; DuckDB
+    // and MySQL divide in floating point anyway.
+    let sig = signature("SELECT (-9223372036854775807 - 1) / -1");
+    assert_eq!(outcome_of(&sig, EngineDialect::Sqlite), "9223372036854776000.0");
+    assert_eq!(outcome_of(&sig, EngineDialect::Postgres), "<Arithmetic>");
+    assert_eq!(outcome_of(&sig, EngineDialect::Duckdb), "9223372036854776000.0");
+    assert_eq!(outcome_of(&sig, EngineDialect::Mysql), "9223372036854776000.0");
+}
+
+#[test]
 fn boolean_literal_rendering_matrix() {
     let sig = signature("SELECT 1 = 1");
     assert_eq!(outcome_of(&sig, EngineDialect::Sqlite), "1");

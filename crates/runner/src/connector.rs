@@ -362,13 +362,17 @@ impl EngineConnector {
     }
 
     /// Open a coverage capture window: park the coverage accumulated so
-    /// far and clear the hit bits, so everything hit until
+    /// far and start over from the engine's construction-time universe,
+    /// so everything hit until
     /// [`end_coverage_capture`](EngineConnector::end_coverage_capture) is
     /// attributable to the window alone. The study result cache uses this
-    /// to record *per-file* coverage deltas alongside results.
+    /// to record *per-file* coverage deltas alongside results. Starting
+    /// from the universe rather than clearing hit bits keeps points that
+    /// earlier files auto-registered out of the window, so a window's
+    /// content does not depend on which files this worker ran before.
     pub fn begin_coverage_capture(&mut self) {
-        let parked = self.engine.coverage().clone();
-        self.engine.coverage_mut().reset_hits();
+        let universe = squality_engine::coverage_universe(self.engine.dialect());
+        let parked = std::mem::replace(self.engine.coverage_mut(), universe);
         self.parked_coverage = Some(parked);
     }
 
@@ -474,7 +478,7 @@ impl Connector for EngineConnector {
         let dialect = self.engine.dialect();
         // Preserve accumulated coverage across resets: coverage is a
         // per-engine experiment-level measurement (Table 8).
-        let coverage = self.engine.coverage().clone();
+        let coverage = std::mem::take(self.engine.coverage_mut());
         self.engine = Engine::with_faults(dialect, self.faults);
         self.engine.set_exec_strategy(self.exec_strategy);
         *self.engine.coverage_mut() = coverage;

@@ -10,8 +10,10 @@
 //! * [`runner`] — conditioned, loop-expanding, halting execution,
 //! * [`events`] — the typed [`RunEvent`] stream ([`RunObserver`] sinks,
 //!   JSONL logging, CLI progress) every suite run can emit,
-//! * [`scheduler`] — parallel, deterministic suite execution over a
-//!   worker pool,
+//! * [`pool`] — the one ordered worker pool every parallel loop (suite
+//!   files, triage clusters, stability targets) runs on,
+//! * [`scheduler`] — parallel, deterministic suite execution over that
+//!   pool,
 //! * [`validate`] — SLT sort modes, hash-threshold, exact vs tolerant
 //!   numeric comparison,
 //! * [`classify`] — the RQ3 dependency and RQ4 incompatibility taxonomies
@@ -25,6 +27,7 @@ pub mod classify;
 pub mod connector;
 pub mod events;
 pub mod outcome;
+pub mod pool;
 pub mod runner;
 pub mod scheduler;
 pub mod sigcodec;
@@ -46,7 +49,7 @@ pub use events::{
 };
 pub use outcome::{FailInfo, FailKind, FileResult, Outcome, RecordResult, SkipReason};
 pub use runner::{Runner, RunnerOptions, TranslationMode};
-pub use scheduler::{FileRunRecord, SuiteExecution};
+pub use scheduler::FileRunRecord;
 pub use sigcodec::{decode_signature, encode_signature};
 pub use squality_sqlast::translate::{
     TranslationCache, TranslationCounts, TranslationRule, TranslationStats,

@@ -4,36 +4,28 @@
 //! connection; the follow-up work on scaling automated DBMS testing shows
 //! the same loop fans out naturally at *file* granularity, because donor
 //! suites assume independent files (each starts from a fresh database).
-//! [`Runner::run_suite`] exploits exactly that: a [`ConnectorFactory`]
-//! mints one connection per worker, workers pull files from a shared
-//! queue, and results are stitched back **in input order**, so the output
-//! is byte-identical whatever the worker count — parallelism is purely a
-//! throughput knob, never an observability one.
+//! [`Runner::run_files`] exploits exactly that: a [`ConnectorFactory`]
+//! mints one connection per worker (lazily, on the worker's first file),
+//! workers claim files through the ordered [`pool`](crate::pool), and
+//! records come back **in input order**, so the output is byte-identical
+//! whatever the worker count — parallelism is purely a throughput knob,
+//! never an observability one.
+//!
+//! The scheduler emits per-file events only; suite-level events belong to
+//! the caller, which alone knows the whole suite (the `Harness` in
+//! `squality-core` replays cached files alongside the ones that ran).
 //!
 //! Files that need cross-file state (`fresh_database: false` carry-over)
 //! are inherently sequential and must keep using [`Runner::run_file`];
 //! the scheduler resets every connection before every file.
 
 use crate::connector::{Connector, ConnectorError, ConnectorFactory};
-use crate::events::{RunEvent, RunObserver};
+use crate::events::RunObserver;
 use crate::outcome::{FileResult, Outcome, RecordResult};
 use crate::runner::{Runner, RunnerOptions};
 use squality_formats::TestFile;
 use squality_sqlast::translate::{TranslationCounts, TranslationStats};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Everything a parallel suite run produces: per-file results in input
-/// order plus the retired worker connections (whose engines carry
-/// accumulated coverage and other run-scoped state).
-pub struct SuiteExecution<C> {
-    /// One result per input file, ordered by input index.
-    pub results: Vec<FileResult>,
-    /// The retired worker connections — one per worker that claimed at
-    /// least one file (workers connect lazily, so a worker that never got
-    /// a file contributes nothing here).
-    pub connectors: Vec<C>,
-}
+use std::sync::Arc;
 
 /// The result a file gets when no connection could be opened for it: a
 /// single synthetic crash record, so a down backend surfaces as a
@@ -50,10 +42,10 @@ fn connect_failure_result(file: &str, error: &ConnectorError) -> FileResult {
     }
 }
 
-/// One file's complete execution record from
-/// [`Runner::run_files_recorded`]: everything the study result cache
-/// needs to persist so the file can be skipped — and its effects replayed
-/// — on the next run.
+/// One file's complete execution record from [`Runner::run_files`]:
+/// its outcomes plus everything the study result cache needs to persist
+/// so the file can be skipped — and its effects replayed — on the next
+/// run.
 pub struct FileRunRecord {
     /// The caller's index for this file (its position in the *original*
     /// suite, not in the possibly-partial slice that ran).
@@ -65,71 +57,28 @@ pub struct FileRunRecord {
 }
 
 impl Runner {
-    /// Execute `files` on `workers` parallel connections minted by
-    /// `factory`. `workers == 0` uses the machine's available parallelism.
+    /// Execute `files` — `(original_index, file)` pairs, a whole suite or
+    /// any subset of one — on `workers` parallel connections minted by
+    /// `factory` (`0` = all cores). Each file runs on a freshly-reset
+    /// connection: `prepare` runs on it first (the seam for environment
+    /// provisioning: data files, extensions, set-up SQL), then the file,
+    /// then `epilogue` with the file's original index (the harness closes
+    /// its per-file coverage capture window there).
     ///
-    /// Results are ordered by input index and byte-identical for every
-    /// worker count. Each file runs on a freshly-reset connection.
-    pub fn run_suite<F: ConnectorFactory>(
-        &self,
-        factory: &F,
-        files: &[TestFile],
-        workers: usize,
-    ) -> Vec<FileResult> {
-        self.run_suite_with(factory, files, workers, |_| {}).results
-    }
-
-    /// [`Runner::run_suite`] with a per-file `prepare` hook, invoked on the
-    /// freshly-reset connection before each file — the seam for environment
-    /// provisioning (data files, extensions, set-up SQL).
-    pub fn run_suite_with<F: ConnectorFactory>(
-        &self,
-        factory: &F,
-        files: &[TestFile],
-        workers: usize,
-        prepare: impl Fn(&mut F::Conn) + Sync,
-    ) -> SuiteExecution<F::Conn> {
-        self.run_suite_inner(factory, files, workers, prepare, None)
-    }
-
-    /// [`Runner::run_suite_with`] emitting the typed event stream to
-    /// `observer`: one `SuiteStarted` (carrying `label` and the factory's
-    /// connection metadata from [`Connector::info`]), per-file
-    /// `FileStarted`/`RecordFinished`/`FileFinished` events as workers
-    /// execute, and a final `SuiteFinished` with aggregate counts.
+    /// With an `observer`, every file streams its
+    /// `FileStarted`/`RecordFinished`/`FileFinished` block under its
+    /// original index, so a log interleaves correctly with blocks the
+    /// caller replays for files that did not run. Suite-level events are
+    /// the caller's.
     ///
-    /// The event *multiset* is identical at every worker count (timings
-    /// aside); see [`crate::events`] for the full contract. The metadata
-    /// comes from [`ConnectorFactory::info`] before the workers start.
-    pub fn run_suite_observed<F: ConnectorFactory>(
-        &self,
-        factory: &F,
-        files: &[TestFile],
-        workers: usize,
-        label: &str,
-        prepare: impl Fn(&mut F::Conn) + Sync,
-        observer: &dyn RunObserver,
-    ) -> SuiteExecution<F::Conn> {
-        self.run_suite_inner(factory, files, workers, prepare, Some((label, observer)))
-    }
-
-    /// Execute a *subset* of a suite's files — `(original_index, file)`
-    /// pairs — recording per-file translation counter deltas alongside the
-    /// results. This is the cache-miss path of the incremental study
-    /// cache: only the stale files run, their events carry the original
-    /// indices (so an observer's log interleaves correctly with replayed
-    /// cache hits), and each record is self-contained enough to persist.
-    ///
-    /// Unlike [`Runner::run_suite_observed`] this emits **no suite-level
-    /// events** — the caller owns `SuiteStarted`/`SuiteFinished`, because
-    /// only it knows the full suite. `prepare` runs on the freshly-reset
-    /// connection before each file; `epilogue` runs right after the file,
-    /// with its original index (the harness closes its per-file coverage
-    /// capture window there). Records are returned in slice order; each
-    /// file's translation counters are measured with a private counter set
-    /// so the deltas are per-file exact, while the memoisation cache stays
-    /// shared (it replays counter deltas on hit, so totals are unchanged).
-    pub fn run_files_recorded<F: ConnectorFactory>(
+    /// Records come back in slice order, byte-identical at every worker
+    /// count, together with the retired worker connections — one per
+    /// worker that opened one, carrying accumulated coverage and other
+    /// run-scoped state. Each file's translation counters are measured
+    /// with a private counter set so the deltas are per-file exact, while
+    /// the memoisation cache stays shared (it replays counter deltas on
+    /// hit, so totals are unchanged).
+    pub fn run_files<F: ConnectorFactory>(
         &self,
         factory: &F,
         files: &[(usize, &TestFile)],
@@ -138,184 +87,42 @@ impl Runner {
         epilogue: impl Fn(&mut F::Conn, usize) + Sync,
         observer: Option<&dyn RunObserver>,
     ) -> (Vec<FileRunRecord>, Vec<F::Conn>) {
-        let workers = effective_workers(workers, files.len());
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<FileRunRecord>>> =
-            files.iter().map(|_| Mutex::new(None)).collect();
-        let retired = Mutex::new(Vec::with_capacity(workers));
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut conn: Option<F::Conn> = None;
-                    loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(index, file)) = files.get(slot) else { break };
-                        let conn = match &mut conn {
-                            Some(conn) => conn,
-                            None => match factory.connect() {
-                                Ok(fresh) => conn.insert(fresh),
-                                Err(e) => {
-                                    let result = connect_failure_result(&file.name, &e);
-                                    if let Some(observer) = observer {
-                                        crate::events::replay_file_events(observer, index, &result);
-                                    }
-                                    *slots[slot].lock().expect("record slot poisoned") =
-                                        Some(FileRunRecord {
-                                            index,
-                                            result,
-                                            translation: TranslationStats::new().counts(),
-                                        });
-                                    continue;
-                                }
-                            },
-                        };
-                        conn.reset();
-                        prepare(conn);
-                        // A private counter set per file isolates this
-                        // file's translation deltas; the shared memo cache
-                        // still deduplicates the parse/print work.
-                        let stats = std::sync::Arc::new(TranslationStats::new());
-                        let per_file = Runner {
-                            options: RunnerOptions { fresh_database: false, ..self.options },
-                            translation_stats: std::sync::Arc::clone(&stats),
-                            translation_cache: std::sync::Arc::clone(&self.translation_cache),
-                        };
-                        let result = match observer {
-                            Some(observer) => {
-                                per_file.run_file_observed(conn, file, index, observer)
-                            }
-                            None => per_file.run_file(conn, file),
-                        };
-                        epilogue(conn, index);
-                        *slots[slot].lock().expect("record slot poisoned") =
-                            Some(FileRunRecord { index, result, translation: stats.counts() });
+        crate::pool::map_ordered(files, workers, |conn: &mut Option<F::Conn>, _, &(index, file)| {
+            let conn = match conn {
+                Some(conn) => conn,
+                None => match factory.connect() {
+                    Ok(fresh) => conn.insert(fresh),
+                    Err(e) => {
+                        let result = connect_failure_result(&file.name, &e);
+                        if let Some(observer) = observer {
+                            crate::events::replay_file_events(observer, index, &result);
+                        }
+                        let translation = TranslationCounts::default();
+                        return FileRunRecord { index, result, translation };
                     }
-                    if let Some(conn) = conn {
-                        retired.lock().expect("retired list poisoned").push(conn);
-                    }
-                });
-            }
-        });
-
-        let records = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner().expect("record slot poisoned").expect("scheduler ran every file")
-            })
-            .collect();
-        (records, retired.into_inner().expect("retired list poisoned"))
+                },
+            };
+            conn.reset();
+            prepare(conn);
+            // The scheduler owns the per-file reset (reset → prepare →
+            // run), so the inner runner must not reset again and wipe the
+            // preparation. A private counter set per file isolates this
+            // file's translation deltas; the shared memo cache still
+            // deduplicates the parse/print work.
+            let stats = Arc::new(TranslationStats::new());
+            let per_file = Runner {
+                options: RunnerOptions { fresh_database: false, ..self.options },
+                translation_stats: Arc::clone(&stats),
+                translation_cache: Arc::clone(&self.translation_cache),
+            };
+            let result = match observer {
+                Some(observer) => per_file.run_file_observed(conn, file, index, observer),
+                None => per_file.run_file(conn, file),
+            };
+            epilogue(conn, index);
+            FileRunRecord { index, result, translation: stats.counts() }
+        })
     }
-
-    fn run_suite_inner<F: ConnectorFactory>(
-        &self,
-        factory: &F,
-        files: &[TestFile],
-        workers: usize,
-        prepare: impl Fn(&mut F::Conn) + Sync,
-        observed: Option<(&str, &dyn RunObserver)>,
-    ) -> SuiteExecution<F::Conn> {
-        let started = std::time::Instant::now();
-        if let Some((label, observer)) = observed {
-            let info = factory.info();
-            observer.on_event(&RunEvent::SuiteStarted {
-                label,
-                files: files.len(),
-                connector: &info,
-            });
-        }
-        let workers = effective_workers(workers, files.len());
-        // The scheduler owns the per-file reset (reset → prepare → run), so
-        // the inner runner must not reset again and wipe the preparation.
-        // Translation counters and the memo cache are shared, not forked:
-        // the whole suite run aggregates into this runner's stats and
-        // translates each unique text once, whatever the worker count.
-        let per_file = Runner {
-            options: RunnerOptions { fresh_database: false, ..self.options },
-            translation_stats: std::sync::Arc::clone(&self.translation_stats),
-            translation_cache: std::sync::Arc::clone(&self.translation_cache),
-        };
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<FileResult>>> =
-            files.iter().map(|_| Mutex::new(None)).collect();
-        let retired = Mutex::new(Vec::with_capacity(workers));
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    // Connect lazily on the first claimed file: a worker
-                    // that loses the queue race entirely never pays engine
-                    // construction and retires no connection.
-                    let mut conn: Option<F::Conn> = None;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(file) = files.get(i) else { break };
-                        let conn = match &mut conn {
-                            Some(conn) => conn,
-                            None => match factory.connect() {
-                                Ok(fresh) => conn.insert(fresh),
-                                Err(e) => {
-                                    let result = connect_failure_result(&file.name, &e);
-                                    if let Some((_, observer)) = observed {
-                                        crate::events::replay_file_events(observer, i, &result);
-                                    }
-                                    *slots[i].lock().expect("result slot poisoned") = Some(result);
-                                    continue;
-                                }
-                            },
-                        };
-                        conn.reset();
-                        prepare(conn);
-                        let result = match observed {
-                            Some((_, observer)) => {
-                                per_file.run_file_observed(conn, file, i, observer)
-                            }
-                            None => per_file.run_file(conn, file),
-                        };
-                        *slots[i].lock().expect("result slot poisoned") = Some(result);
-                    }
-                    if let Some(conn) = conn {
-                        retired.lock().expect("retired list poisoned").push(conn);
-                    }
-                });
-            }
-        });
-
-        let execution = SuiteExecution {
-            results: slots
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("result slot poisoned")
-                        .expect("scheduler ran every file")
-                })
-                .collect(),
-            connectors: retired.into_inner().expect("retired list poisoned"),
-        };
-        if let Some((label, observer)) = observed {
-            crate::events::emit_suite_finished(
-                observer,
-                label,
-                &execution.results,
-                started.elapsed().as_nanos() as u64,
-            );
-        }
-        execution
-    }
-}
-
-/// Clamp a requested worker count: `0` means "all cores" (the machine's
-/// available parallelism, falling back to 1 when it cannot be queried), and
-/// there is never a point in more workers than files — the count is clamped
-/// to `max(1, n_files)`, so an empty suite still gets one (idle) worker and
-/// `workers > files` never spawns threads that could not claim a file.
-fn effective_workers(requested: usize, n_files: usize) -> usize {
-    let requested = if requested == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        requested
-    };
-    requested.clamp(1, n_files.max(1))
 }
 
 #[cfg(test)]
@@ -359,14 +166,27 @@ mod tests {
             .collect()
     }
 
+    /// Run every file of `files` through the one scheduler entry with no
+    /// hooks and no observer, returning the results in input order.
+    fn run_all<F: ConnectorFactory>(
+        runner: &Runner,
+        factory: &F,
+        files: &[TestFile],
+        workers: usize,
+    ) -> Vec<FileResult> {
+        let indexed: Vec<(usize, &TestFile)> = files.iter().enumerate().collect();
+        let (records, _) = runner.run_files(factory, &indexed, workers, |_| {}, |_, _| {}, None);
+        records.into_iter().map(|record| record.result).collect()
+    }
+
     #[test]
     fn results_identical_across_worker_counts() {
         let files = suite(13);
         let factory = EngineConnectorFactory::new(EngineDialect::Sqlite, ClientKind::Cli);
         let runner = Runner::default();
-        let baseline = runner.run_suite(&factory, &files, 1);
+        let baseline = run_all(&runner, &factory, &files, 1);
         for workers in [2, 3, 8] {
-            let got = runner.run_suite(&factory, &files, workers);
+            let got = run_all(&runner, &factory, &files, workers);
             assert_eq!(got, baseline, "worker count {workers} changed results");
         }
     }
@@ -379,8 +199,8 @@ mod tests {
         let cache = PlanCache::shared();
         let cached = EngineConnectorFactory::new(EngineDialect::Duckdb, ClientKind::Cli)
             .plan_cache(std::sync::Arc::clone(&cache));
-        let a = runner.run_suite(&plain, &files, 4);
-        let b = runner.run_suite(&cached, &files, 4);
+        let a = run_all(&runner, &plain, &files, 4);
+        let b = run_all(&runner, &cached, &files, 4);
         assert_eq!(a, b);
         let stats = cache.stats();
         // The loop bodies replay the same INSERT text: hits must dominate.
@@ -390,29 +210,52 @@ mod tests {
     #[test]
     fn prepare_hook_runs_before_every_file() {
         let files = suite(5);
+        let indexed: Vec<(usize, &TestFile)> = files.iter().enumerate().collect();
         let factory = EngineConnectorFactory::new(EngineDialect::Postgres, ClientKind::Cli);
         let runner = Runner::default();
-        let bare = runner.run_suite(&factory, &files, 2);
+        let bare = run_all(&runner, &factory, &files, 2);
         // Provision a marker table; every file must then see it.
-        let exec = runner.run_suite_with(&factory, &files, 2, |conn: &mut EngineConnector| {
+        let provision = |conn: &mut EngineConnector| {
             conn.execute("CREATE TABLE provisioned(x INTEGER)").unwrap();
-        });
-        assert_eq!(exec.results.len(), bare.len());
+        };
+        let (records, connectors) =
+            runner.run_files(&factory, &indexed, 2, provision, |_, _| {}, None);
+        assert_eq!(records.len(), bare.len());
         // Workers connect lazily, so every retired connector claimed at
         // least one file and carries accumulated coverage.
-        assert!(!exec.connectors.is_empty());
-        assert!(exec.connectors.iter().all(|conn| conn.engine().coverage().line_ratio() > 0.0));
+        assert!(!connectors.is_empty());
+        assert!(connectors.iter().all(|conn| conn.engine().coverage().line_ratio() > 0.0));
         let probe = parse_slt(
             "probe.test",
             "statement ok\nSELECT * FROM provisioned\n",
             SltFlavor::Classic,
         );
-        let with_env = runner.run_suite_with(&factory, std::slice::from_ref(&probe), 1, |conn| {
-            conn.execute("CREATE TABLE provisioned(x INTEGER)").unwrap();
-        });
-        assert_eq!(with_env.results[0].passed(), 1);
-        let without_env = runner.run_suite(&factory, &[probe], 1);
+        let (with_env, _) =
+            runner.run_files(&factory, &[(0, &probe)], 1, provision, |_, _| {}, None);
+        assert_eq!(with_env[0].result.passed(), 1);
+        let without_env = run_all(&runner, &factory, &[probe], 1);
         assert_eq!(without_env[0].failed(), 1);
+    }
+
+    #[test]
+    fn epilogue_runs_after_every_file_with_its_original_index() {
+        let files = suite(6);
+        // A partial slice: only the odd files run, under their suite index.
+        let odd: Vec<(usize, &TestFile)> = files.iter().enumerate().skip(1).step_by(2).collect();
+        let factory = EngineConnectorFactory::new(EngineDialect::Sqlite, ClientKind::Cli);
+        let seen = std::sync::Mutex::new(Vec::new());
+        let (records, _) = Runner::default().run_files(
+            &factory,
+            &odd,
+            2,
+            |_| {},
+            |_, index| seen.lock().unwrap().push(index),
+            None,
+        );
+        assert_eq!(records.iter().map(|r| r.index).collect::<Vec<_>>(), [1, 3, 5]);
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable();
+        assert_eq!(seen, [1, 3, 5]);
     }
 
     #[test]
@@ -431,22 +274,24 @@ mod tests {
             }
         }
         let files = suite(4);
-        let runner = Runner::default();
+        let indexed: Vec<(usize, &TestFile)> = files.iter().enumerate().collect();
         let obs = CollectingObserver::new();
-        let exec = runner.run_suite_observed(&DownFactory, &files, 2, "down", |_| {}, &obs);
-        assert_eq!(exec.results.len(), 4);
-        assert!(exec.connectors.is_empty());
-        for (i, r) in exec.results.iter().enumerate() {
+        let (records, connectors) =
+            Runner::default().run_files(&DownFactory, &indexed, 2, |_| {}, |_, _| {}, Some(&obs));
+        assert_eq!(records.len(), 4);
+        assert!(connectors.is_empty());
+        for (i, record) in records.iter().enumerate() {
+            let r = &record.result;
             assert!(r.crashed, "file {i} not marked crashed");
             assert_eq!(r.results.len(), 1);
             let Outcome::Crash(m) = &r.results[0].outcome else { panic!("{:?}", r.results) };
             assert!(m.contains("connect failed"), "{m}");
+            assert_eq!(record.translation, TranslationCounts::default());
         }
         // The event stream still forms complete per-file blocks.
         let lines = obs.lines();
         assert_eq!(lines.iter().filter(|l| l.contains("\"event\":\"file_started\"")).count(), 4);
         assert_eq!(lines.iter().filter(|l| l.contains("\"event\":\"file_finished\"")).count(), 4);
-        assert!(lines.last().unwrap().contains("\"crashes\":4"), "{:?}", lines.last());
     }
 
     #[test]
@@ -454,7 +299,7 @@ mod tests {
         let files = suite(4);
         let factory =
             FnFactory(|| EngineConnector::new(EngineDialect::Mysql, ClientKind::Connector));
-        let results = Runner::default().run_suite(&factory, &files, 3);
+        let results = run_all(&Runner::default(), &factory, &files, 3);
         assert_eq!(results.len(), 4);
         assert!(results.iter().all(|r| r.failed() == 0), "{results:?}");
     }
@@ -462,46 +307,26 @@ mod tests {
     #[test]
     fn zero_workers_means_auto_and_empty_suites_are_fine() {
         let factory = EngineConnectorFactory::new(EngineDialect::Sqlite, ClientKind::Cli);
-        let results = Runner::default().run_suite(&factory, &[], 0);
+        let results = run_all(&Runner::default(), &factory, &[], 0);
         assert!(results.is_empty());
         let files = suite(2);
-        let results = Runner::default().run_suite(&factory, &files, 0);
+        let results = run_all(&Runner::default(), &factory, &files, 0);
         assert_eq!(results.len(), 2);
-    }
-
-    #[test]
-    fn effective_workers_clamps() {
-        assert_eq!(effective_workers(4, 2), 2);
-        assert_eq!(effective_workers(1, 100), 1);
-        assert_eq!(effective_workers(8, 0), 1);
-        assert!(effective_workers(0, 64) >= 1);
-    }
-
-    #[test]
-    fn effective_workers_edge_cases() {
-        // 0 files: every request resolves to exactly one (idle) worker,
-        // including the "all cores" request.
-        assert_eq!(effective_workers(0, 0), 1);
-        assert_eq!(effective_workers(1, 0), 1);
-        assert_eq!(effective_workers(usize::MAX, 0), 1);
-        // workers > files: clamped to the file count.
-        assert_eq!(effective_workers(100, 3), 3);
-        assert_eq!(effective_workers(2, 1), 1);
-        // "all cores" never exceeds the file count either.
-        let auto = effective_workers(0, 2);
-        assert!((1..=2).contains(&auto), "auto workers {auto} not clamped to 2 files");
     }
 
     #[test]
     fn observed_run_emits_deterministic_event_multiset() {
         use crate::events::CollectingObserver;
         let files = suite(7);
+        let indexed: Vec<(usize, &TestFile)> = files.iter().enumerate().collect();
         let factory = EngineConnectorFactory::new(EngineDialect::Sqlite, ClientKind::Cli);
         let runner = Runner::default();
         let collect = |workers: usize| {
             let obs = CollectingObserver::new();
-            let exec = runner.run_suite_observed(&factory, &files, workers, "det", |_| {}, &obs);
-            (exec.results, obs.lines())
+            let (records, _) =
+                runner.run_files(&factory, &indexed, workers, |_| {}, |_, _| {}, Some(&obs));
+            let results: Vec<FileResult> = records.into_iter().map(|r| r.result).collect();
+            (results, obs.lines())
         };
         let (base_results, base_lines) = collect(1);
         // Event bookkeeping against the stitched results.
@@ -514,9 +339,9 @@ mod tests {
             base_lines.iter().filter(|l| l.contains("\"event\":\"file_started\"")).count(),
             files.len()
         );
-        assert!(base_lines.first().unwrap().contains("suite_started"));
-        assert!(base_lines.last().unwrap().contains("suite_finished"));
-        assert!(base_lines.last().unwrap().contains("\"label\":\"det\""));
+        // Suite-level events belong to the caller, never the scheduler.
+        assert!(!base_lines.iter().any(|l| l.contains("suite_started")));
+        assert!(!base_lines.iter().any(|l| l.contains("suite_finished")));
         // The multiset contract: identical events at any worker count,
         // whatever the interleaving.
         let mut base_sorted = base_lines.clone();
@@ -537,8 +362,9 @@ mod tests {
         // The satellite invariant: Translated on a same-dialect pair must
         // equal Verbatim exactly, across the scheduler at 1 and 4 workers.
         let files = suite(9);
+        let indexed: Vec<(usize, &TestFile)> = files.iter().enumerate().collect();
         let factory = EngineConnectorFactory::new(EngineDialect::Duckdb, ClientKind::Cli);
-        let verbatim = Runner::default().run_suite(&factory, &files, 1);
+        let verbatim = run_all(&Runner::default(), &factory, &files, 1);
         let translated = Runner::new(RunnerOptions {
             translation: TranslationMode::Translated {
                 from: TextDialect::Duckdb,
@@ -547,12 +373,18 @@ mod tests {
             ..RunnerOptions::default()
         });
         for workers in [1, 4] {
-            let got = translated.run_suite(&factory, &files, workers);
+            let (records, _) =
+                translated.run_files(&factory, &indexed, workers, |_| {}, |_, _| {}, None);
+            let mut counts = TranslationCounts::default();
+            let mut got = Vec::new();
+            for record in records {
+                counts.merge(&record.translation);
+                got.push(record.result);
+            }
             assert_eq!(got, verbatim, "workers={workers}");
+            // Identity means no statement was rewritten at all.
+            assert_eq!(counts.translated, 0);
+            assert_eq!(counts.applied_total(), 0);
         }
-        // Identity means no statement was rewritten at all.
-        let counts = translated.translation_stats.counts();
-        assert_eq!(counts.translated, 0);
-        assert_eq!(counts.applied_total(), 0);
     }
 }

@@ -10,14 +10,14 @@
 //! recursive-CTE / CVE-2024-20962) and three hangs (DuckDB recursive CTE,
 //! SQLite `generate_series` overflow, MySQL join-order search).
 
-use squality::core::{run_study, StudyConfig};
+use squality::core::{run_study_cached, StudyConfig};
 
 fn main() {
     let scale = std::env::args().nth(1).and_then(|v| v.parse().ok()).unwrap_or(0.1);
     eprintln!("running the cross-DBMS execution matrix (scale {scale}, all cores)...");
     let config =
         StudyConfig::default().with_seed(0xB16B00).with_scale(scale).with_translated_arm(false);
-    let study = run_study(config);
+    let study = run_study_cached(config, &[], None);
 
     let crashes: Vec<_> = study.bugs.iter().filter(|b| b.is_crash).collect();
     let hangs: Vec<_> = study.bugs.iter().filter(|b| !b.is_crash).collect();

@@ -2,7 +2,7 @@
 //! unified IR → runner → engine simulators, organised around the paper's
 //! listings and findings.
 
-use squality::core::{run_study, StudyConfig};
+use squality::core::{run_study_cached, StudyConfig};
 use squality::corpus::{donor_dialect, generate_suite_scaled};
 use squality::engine::{ClientKind, EngineDialect};
 use squality::formats::{parse_mysql_test, parse_pg_regress, parse_slt, SltFlavor, SuiteKind};
@@ -141,7 +141,7 @@ fn donor_environments_control_dependency_failures() {
 
 #[test]
 fn full_study_smoke() {
-    let study = run_study(StudyConfig::default().with_seed(123).with_scale(0.04));
+    let study = run_study_cached(StudyConfig::default().with_seed(123).with_scale(0.04), &[], None);
     // All four suites generated; the three executed ones have matrix rows.
     assert_eq!(study.suites.len(), 4);
     assert_eq!(study.matrix.len(), 12);
@@ -158,8 +158,11 @@ fn study_results_identical_across_worker_counts() {
     // The parallel pipeline is a pure throughput knob: the whole study —
     // matrix, donor runs, coverage, bug findings — must be byte-identical
     // at any worker count.
-    let a = run_study(StudyConfig::default().with_seed(9).with_scale(0.03).with_workers(1));
-    let b = run_study(StudyConfig::default().with_seed(9).with_scale(0.03).with_workers(3));
+    let study = |workers: usize| {
+        let config = StudyConfig::default().with_seed(9).with_scale(0.03).with_workers(workers);
+        run_study_cached(config, &[], None)
+    };
+    let (a, b) = (study(1), study(3));
     assert_eq!(a.matrix.len(), b.matrix.len());
     for (ca, cb) in a.matrix.iter().zip(&b.matrix) {
         assert_eq!(ca.suite, cb.suite);

@@ -47,7 +47,7 @@ fn study_events_are_deterministic_across_worker_counts() {
             .with_scale(0.02)
             .with_workers(workers)
             .with_translated_arm(true);
-        let study = squality::core::run_study_with_observers(config, &observers);
+        let study = squality::core::run_study_cached(config, &observers, None);
         assert_eq!(study.matrix.len(), 12);
         events.log()
     };

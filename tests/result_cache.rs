@@ -5,8 +5,7 @@
 
 use squality::core::triage::{triage_study_with_observers, TriageConfig};
 use squality::core::{
-    full_report, run_study_cached, run_study_with_observers, triage_table, Harness, ResultCache,
-    Study, StudyConfig,
+    full_report, run_study_cached, triage_table, Harness, ResultCache, Study, StudyConfig,
 };
 use squality::corpus::generate_suite_scaled;
 use squality::engine::EngineDialect;
@@ -63,7 +62,7 @@ fn warm_study_replays_byte_identically() {
 
     let events = JsonlObserver::new();
     let observers: [&dyn RunObserver; 1] = [&events];
-    let baseline = run_study_with_observers(study_config(2), &observers);
+    let baseline = run_study_cached(study_config(2), &observers, None);
     let baseline_log = events.log();
     let baseline_report = full_report(&baseline);
     assert_eq!(baseline.result_cache.hits + baseline.result_cache.misses, 0);
@@ -183,4 +182,50 @@ fn editing_one_file_invalidates_exactly_that_file() {
     let (_, warm_stats) = run(&gs, dir.cache());
     assert_eq!(warm_stats.misses, 0);
     assert_eq!(warm_stats.hits, gs.files.len() as u64);
+}
+
+/// Every file of a cache directory, keyed by its path below the root.
+fn cache_files(root: &std::path::Path) -> std::collections::BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = std::collections::BTreeMap::new();
+    let mut pending = vec![root.to_path_buf()];
+    while let Some(dir) = pending.pop() {
+        for entry in std::fs::read_dir(&dir).expect("cache dir readable") {
+            let path = entry.expect("cache dir entry").path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let bytes = std::fs::read(&path).expect("cache entry readable");
+                files.insert(path.strip_prefix(root).unwrap().to_path_buf(), bytes);
+            }
+        }
+    }
+    files
+}
+
+/// A cache entry is a pure function of its key: filling a cold cache at
+/// one worker or at three writes byte-identical entries, whatever files
+/// each worker's connection happened to run before.
+#[test]
+fn cache_entries_are_byte_identical_at_any_worker_count() {
+    let fill = |workers: usize| {
+        let dir = TempCacheDir::new(&format!("interleave-{workers}"));
+        run_study_cached(study_config(workers), &[], Some(dir.cache()));
+        let files = cache_files(&dir.0);
+        assert!(!files.is_empty(), "workers={workers}: nothing cached");
+        files
+    };
+    let (one, three) = (fill(1), fill(3));
+    assert_eq!(
+        one.keys().collect::<Vec<_>>(),
+        three.keys().collect::<Vec<_>>(),
+        "the two caches hold different keys"
+    );
+    let differing: Vec<&PathBuf> = one.keys().filter(|path| one[*path] != three[*path]).collect();
+    assert!(
+        differing.is_empty(),
+        "{} of {} entries differ, e.g. {:?}",
+        differing.len(),
+        one.len(),
+        &differing[..differing.len().min(3)]
+    );
 }
