@@ -21,6 +21,16 @@
 //! squality-tables bugs list|show KEY|replay|import DIR|gc [--store DIR]
 //! ```
 //!
+//! Sections are parsed up front; an unknown name is a usage error (exit
+//! status 2) before any work. Each section needs some share of the work:
+//! `table1`–`table3` and `figure1`–`figure3` read the generated corpora
+//! alone, `translation` and `all` add the translated arm, `stability` the
+//! stability arm, and every other section the verbatim study. When every
+//! requested section is a corpus section, no study cell runs: `--events`
+//! still creates its log, which stays empty, and `--cache`, `--cache-dir`
+//! and `--backend` have nothing to act on (no cache is opened, no worker
+//! starts). Any other section list runs the study once for all of them.
+//!
 //! `--workers 0` (the default) shards suite execution over all cores; any
 //! worker count produces byte-identical tables.
 //!
@@ -79,10 +89,11 @@
 use squality_bench::ensure_parent_dir;
 use squality_core::triage::{triage_study_with_observers, TriageConfig};
 use squality_core::{
-    bug_store_table, default_cache_dir, replay_store_with_observers, replay_table,
-    run_study_cached, stability_table, triage_table, BackendSpec, BugStore, ReplayConfig,
-    ResultCache, StabilityConfig, Study, StudyConfig,
+    bug_store_table, default_cache_dir, generate_corpora, replay_store_with_observers,
+    replay_table, run_study_cached, stability_table, triage_table, BackendSpec, BugStore,
+    ReplayConfig, ResultCache, StabilityConfig, Study, StudyConfig,
 };
+use squality_corpus::GeneratedSuite;
 use squality_engine::ENGINE_SEMANTICS_VERSION;
 use squality_runner::{JsonlObserver, ProgressObserver, RunObserver};
 use std::path::{Path, PathBuf};
@@ -90,7 +101,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
-    let mut sections: Vec<String> = Vec::new();
+    let mut words: Vec<String> = Vec::new();
     let mut scale = squality_bench::REPORT_SCALE;
     let mut seed = 0x5C0A11u64;
     let mut workers = 0usize;
@@ -203,14 +214,14 @@ fn main() {
                 bench_out = args.next().unwrap_or_else(|| usage("missing value for --bench-out"));
             }
             "--help" | "-h" => usage(""),
-            s if s.starts_with('-') && !s.starts_with("--") && s.parse::<f64>().is_err() => {
+            s if s.starts_with('-') && s.parse::<f64>().is_err() => {
                 usage(&format!("unknown flag {s}"))
             }
-            other => sections.push(other.to_string()),
+            other => words.push(other.to_string()),
         }
     }
-    if sections.is_empty() {
-        sections.push("all".to_string());
+    if words.is_empty() {
+        words.push("all".to_string());
     }
 
     // The configurable subprocess deadline applies to the study backend,
@@ -224,19 +235,19 @@ fn main() {
     // persistent bug repository without running a study. A bare `bugs`
     // section (no subcommand word) still renders the crash-findings
     // report from a fresh study, as it always has.
-    if sections.first().map(String::as_str) == Some("bugs")
+    if words.first().map(String::as_str) == Some("bugs")
         && matches!(
-            sections.get(1).map(String::as_str),
+            words.get(1).map(String::as_str),
             Some("list" | "show" | "replay" | "import" | "gc")
         )
     {
         let root = store_dir.clone().unwrap_or_else(BugStore::default_dir);
         let store = BugStore::new(&root);
-        match sections.get(1).map(String::as_str) {
+        match words.get(1).map(String::as_str) {
             Some("list") => bugs_list(&store),
-            Some("show") => bugs_show(&store, sections.get(2).map(String::as_str)),
+            Some("show") => bugs_show(&store, words.get(2).map(String::as_str)),
             Some("replay") => bugs_replay(&store, workers, &backend, events_path.as_deref()),
-            Some("import") => bugs_import(&store, sections.get(2).map(String::as_str)),
+            Some("import") => bugs_import(&store, words.get(2).map(String::as_str)),
             Some("gc") => bugs_gc(&store),
             _ => unreachable!(),
         }
@@ -244,9 +255,9 @@ fn main() {
     }
 
     // The `cache` subcommand introspects the store without running anything.
-    if sections.first().map(String::as_str) == Some("cache") {
+    if words.first().map(String::as_str) == Some("cache") {
         let root = cache_dir.unwrap_or_else(default_cache_dir);
-        match sections.get(1).map(String::as_str) {
+        match words.get(1).map(String::as_str) {
             Some("stats") => cache_stats(&root),
             Some("clear") => cache_clear(&root),
             other => usage(&format!(
@@ -257,20 +268,36 @@ fn main() {
         return;
     }
 
+    // Every remaining word is a section: parse them all before any work,
+    // so a misspelled name is a usage error, not a study run to nowhere.
+    let mut sections: Vec<Section> = words
+        .iter()
+        .map(|name| {
+            Section::parse(name).unwrap_or_else(|| usage(&format!("unknown section: {name}")))
+        })
+        .collect();
+
     // The engine hot-path bench runs standalone (no study needed).
-    if sections.iter().any(|s| s == "bench-engine") {
-        sections.retain(|s| s != "bench-engine");
+    if sections.contains(&Section::BenchEngine) {
+        sections.retain(|s| *s != Section::BenchEngine);
         run_bench_engine(&bench_rows, bench_samples, &bench_out, workers);
         if sections.is_empty() {
             return;
         }
     }
 
+    // Corpus sections read the generated suites and nothing else: when
+    // every requested section is one, no study cell runs.
+    if sections.iter().all(|s| s.needs() == Needs::Corpora) {
+        render_corpora(&sections, seed, scale, events_path.as_deref());
+        return;
+    }
+
     // The translated arm doubles matrix execution; only pay for it when a
     // requested section renders it.
-    let translated_arm = sections.iter().any(|s| s == "translation" || s == "all");
+    let translated_arm = sections.iter().any(|s| s.needs() == Needs::TranslatedArm);
 
-    let stability_config = sections.iter().any(|s| s == "stability").then(|| {
+    let stability_config = sections.iter().any(|s| s.needs() == Needs::StabilityArm).then(|| {
         let mut config = StabilityConfig::default()
             .with_reruns(reruns)
             .with_seed(seed)
@@ -333,24 +360,119 @@ fn main() {
     if let Some(path) = &events_path {
         eprintln!("wrote run events to {path}");
     }
-    for section in &sections {
-        if section == "triage" {
-            let dir = out_dir.clone().unwrap_or_else(|| "triage-repros".to_string());
-            run_triage(
-                &study,
-                reduce,
-                workers,
-                max_probes,
-                &dir,
-                progress,
-                &backend,
-                store_dir.as_deref(),
-            );
-        } else if section == "stability" {
-            run_stability(&study, out_dir.as_deref());
-        } else {
-            print_section(&study, section);
+    for &section in &sections {
+        match section {
+            Section::Triage => {
+                let dir = out_dir.clone().unwrap_or_else(|| "triage-repros".to_string());
+                run_triage(
+                    &study,
+                    reduce,
+                    workers,
+                    max_probes,
+                    &dir,
+                    progress,
+                    &backend,
+                    store_dir.as_deref(),
+                );
+            }
+            Section::Stability => run_stability(&study, out_dir.as_deref()),
+            _ => print_section(section, &study.suites, Some(&study)),
         }
+    }
+}
+
+/// A requested section, parsed once from its name. This enum is the one
+/// place that knows what each section needs before it renders.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Section {
+    Table1,
+    Figure1,
+    Table2,
+    Figure2,
+    Table3,
+    Figure3,
+    Table4,
+    Table5,
+    Figure4,
+    Table6,
+    Table7,
+    Table8,
+    Translation,
+    Bugs,
+    All,
+    Triage,
+    Stability,
+    BenchEngine,
+}
+
+/// The work a section needs before it renders.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Needs {
+    /// Nothing from the study: the section runs on its own.
+    Standalone,
+    /// The generated corpora alone: no study cell runs.
+    Corpora,
+    /// The verbatim study: donor, matrix and coverage cells.
+    Study,
+    /// The verbatim study plus the translated arm.
+    TranslatedArm,
+    /// The verbatim study plus the stability arm.
+    StabilityArm,
+}
+
+impl Section {
+    const NAMES: [(&'static str, Section); 18] = [
+        ("table1", Section::Table1),
+        ("figure1", Section::Figure1),
+        ("table2", Section::Table2),
+        ("figure2", Section::Figure2),
+        ("table3", Section::Table3),
+        ("figure3", Section::Figure3),
+        ("table4", Section::Table4),
+        ("table5", Section::Table5),
+        ("figure4", Section::Figure4),
+        ("table6", Section::Table6),
+        ("table7", Section::Table7),
+        ("table8", Section::Table8),
+        ("translation", Section::Translation),
+        ("bugs", Section::Bugs),
+        ("all", Section::All),
+        ("triage", Section::Triage),
+        ("stability", Section::Stability),
+        ("bench-engine", Section::BenchEngine),
+    ];
+
+    fn parse(name: &str) -> Option<Section> {
+        Self::NAMES.iter().find(|(n, _)| *n == name).map(|(_, s)| *s)
+    }
+
+    fn needs(self) -> Needs {
+        use Section::*;
+        match self {
+            Table1 | Figure1 | Table2 | Figure2 | Table3 | Figure3 => Needs::Corpora,
+            Table4 | Table5 | Figure4 | Table6 | Table7 | Table8 | Bugs | Triage => Needs::Study,
+            Translation | All => Needs::TranslatedArm,
+            Stability => Needs::StabilityArm,
+            BenchEngine => Needs::Standalone,
+        }
+    }
+}
+
+/// Print a corpus-only section list: generate the four corpora and render
+/// them, running no study cell. A requested `--events` log is still
+/// created and stays empty; no result cache is opened and no backend
+/// worker starts, since nothing executes.
+fn render_corpora(sections: &[Section], seed: u64, scale: f64, events_path: Option<&str>) {
+    eprintln!(
+        "generating corpora (seed={seed}, scale={scale}); the requested sections run no study cells..."
+    );
+    if let Some(path) = events_path {
+        open_events_log(path);
+        eprintln!("wrote no run events to {path}: no study cells ran");
+    }
+    let corpora = generate_corpora(seed, scale);
+    for &section in sections {
+        print_section(section, &corpora, None);
     }
 }
 
@@ -448,27 +570,29 @@ fn run_triage(
     );
 }
 
-fn print_section(study: &Study, section: &str) {
+/// Print one rendered section. Corpus sections read `corpora`; every
+/// other section reads the study, which [`Section::needs`] ran for it.
+fn print_section(section: Section, corpora: &[GeneratedSuite], study: Option<&Study>) {
     use squality_core::report::*;
+    let study = || study.expect("the section plan runs the study this section reads");
     let text = match section {
-        "table1" => table1(study),
-        "figure1" => figure1(study),
-        "table2" => table2(study),
-        "figure2" => figure2(study),
-        "table3" => table3(study),
-        "figure3" => figure3(study),
-        "table4" => table4(study),
-        "table5" => table5(study),
-        "figure4" => figure4(study),
-        "table6" => table6(study),
-        "table7" => table7(study),
-        "table8" => table8(study),
-        "translation" => translation_table(study),
-        "bugs" => bug_report(study),
-        "all" => full_report(study),
-        other => {
-            eprintln!("unknown section: {other}");
-            return;
+        Section::Table1 => table1(corpora),
+        Section::Figure1 => figure1(corpora),
+        Section::Table2 => table2(corpora),
+        Section::Figure2 => figure2(corpora),
+        Section::Table3 => table3(corpora),
+        Section::Figure3 => figure3(corpora),
+        Section::Table4 => table4(study()),
+        Section::Table5 => table5(study()),
+        Section::Figure4 => figure4(study()),
+        Section::Table6 => table6(study()),
+        Section::Table7 => table7(study()),
+        Section::Table8 => table8(study()),
+        Section::Translation => translation_table(study()),
+        Section::Bugs => bug_report(study()),
+        Section::All => full_report(study()),
+        Section::Triage | Section::Stability | Section::BenchEngine => {
+            unreachable!("{section:?} is not a rendered report section")
         }
     };
     println!("{text}");
@@ -731,7 +855,9 @@ fn usage(msg: &str) -> ! {
          \x20      squality-tables cache stats|clear [--cache-dir DIR]\n\
          \x20      squality-tables bugs list|show KEY|replay|import DIR|gc [--store DIR]\n\
          sections: table1..table8, figure1..figure4, translation, bugs, all, triage,\n\
-         \x20         stability, bench-engine"
+         \x20         stability, bench-engine\n\
+         table1..table3 and figure1..figure3 read the corpora alone: a list of only\n\
+         those runs no study cells, opens no cache and starts no backend worker"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

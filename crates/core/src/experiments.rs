@@ -208,7 +208,7 @@ pub struct Study {
 impl Study {
     /// The generated suite for a kind.
     pub fn suite(&self, kind: SuiteKind) -> &GeneratedSuite {
-        self.suites.iter().find(|s| s.suite == kind).expect("suite generated")
+        corpus(&self.suites, kind)
     }
 
     /// Matrix cell lookup.
@@ -234,6 +234,27 @@ impl Study {
     pub fn donor_run(&self, suite: SuiteKind) -> &SuiteRunSummary {
         self.donor_runs.iter().find(|s| s.suite == suite).expect("donor run")
     }
+}
+
+/// The study's corpora render the RQ1 sections (Tables 1–3, Figures 1–3)
+/// on their own: `Study` hands them to the renderers as a slice.
+impl AsRef<[GeneratedSuite]> for Study {
+    fn as_ref(&self) -> &[GeneratedSuite] {
+        &self.suites
+    }
+}
+
+/// The generated suite for a kind among a study's corpora.
+pub(crate) fn corpus(suites: &[GeneratedSuite], kind: SuiteKind) -> &GeneratedSuite {
+    suites.iter().find(|s| s.suite == kind).expect("suite generated")
+}
+
+/// Generate the four donor corpora of a study, in [`SuiteKind::ALL`]
+/// order (MySQL included: Tables 1–2 describe it, though no cell runs
+/// it). This is step 1 of [`run_study_cached`] and all the RQ1 sections
+/// read, so they render from it without running a single study cell.
+pub fn generate_corpora(seed: u64, scale: f64) -> Vec<GeneratedSuite> {
+    SuiteKind::ALL.iter().map(|s| generate_suite_scaled(*s, seed, scale)).collect()
 }
 
 /// A pre-configured [`HarnessBuilder`] for one study cell: the shared
@@ -289,10 +310,7 @@ pub fn run_study_cached(
 ) -> Study {
     let result_cache = result_cache.as_ref();
     // 1. Generate all four corpora (MySQL included for RQ1/Table 1-2).
-    let suites: Vec<GeneratedSuite> = SuiteKind::ALL
-        .iter()
-        .map(|s| generate_suite_scaled(*s, config.seed, config.scale))
-        .collect();
+    let suites = generate_corpora(config.seed, config.scale);
 
     let executed: Vec<&GeneratedSuite> = EXECUTED_SUITES
         .iter()

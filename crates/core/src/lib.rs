@@ -77,8 +77,8 @@ pub use cache::{
     default_cache_dir, CachedFileRun, CellSpec, FileKey, ResultCache, ResultCodec, SCHEMA_VERSION,
 };
 pub use experiments::{
-    dependency_breakdown, difficulty_summary, incompatibility_breakdown, run_study_cached,
-    BugFinding, CoverageRow, MatrixCell, Study, StudyConfig, EXECUTED_SUITES,
+    dependency_breakdown, difficulty_summary, generate_corpora, incompatibility_breakdown,
+    run_study_cached, BugFinding, CoverageRow, MatrixCell, Study, StudyConfig, EXECUTED_SUITES,
 };
 pub use harness::{Harness, HarnessBuilder, HarnessError, Run};
 pub use replay::{

@@ -1,13 +1,19 @@
 //! Render every table and figure of the paper's evaluation from a [`Study`],
 //! with the paper's published values alongside for comparison.
+//!
+//! The RQ1 sections (Tables 1–3, Figures 1–3) are a census of the donor
+//! suites. They take any `AsRef<[GeneratedSuite]>` — a [`Study`] or the
+//! bare output of [`generate_corpora`](crate::experiments::generate_corpora)
+//! — and read nothing else, so they render without running a study cell.
 
 use crate::experiments::{
-    dependency_breakdown, difficulty_summary, incompatibility_breakdown, Study, EXECUTED_SUITES,
+    corpus, dependency_breakdown, difficulty_summary, incompatibility_breakdown, Study,
+    EXECUTED_SUITES,
 };
 use squality_analysis::{
     command_usage, compliance, loc_stats, predicate_distribution, statement_distribution,
 };
-use squality_corpus::{donor_dialect, SuiteProfile};
+use squality_corpus::{donor_dialect, GeneratedSuite, SuiteProfile};
 use squality_engine::EngineDialect;
 use squality_formats::{command_count, feature_matrix, SuiteKind};
 use squality_runner::{DependencyClass, IncompatibilityClass, ReuseDifficulty};
@@ -19,7 +25,8 @@ fn pct(x: f64) -> String {
 
 /// Table 1: DBMS rankings and test-suite metadata (paper values plus the
 /// generated corpus sizes used in this run).
-pub fn table1(study: &Study) -> String {
+pub fn table1(corpora: &(impl AsRef<[GeneratedSuite]> + ?Sized)) -> String {
+    let corpora = corpora.as_ref();
     let mut out = String::from(
         "Table 1. DBMS rankings and their test suites information\n\
          DBMS        DB-Engines  GitHub   DBMS      Paper   Generated  Generated\n\
@@ -27,7 +34,7 @@ pub fn table1(study: &Study) -> String {
     );
     for suite in SuiteKind::ALL {
         let p = SuiteProfile::for_suite(suite);
-        let gs = study.suite(suite);
+        let gs = corpus(corpora, suite);
         out.push_str(&format!(
             "{:<11} {:<11} {:<8} {:<9} {:<7} {:<10} {}\n",
             suite.donor_name(),
@@ -44,13 +51,14 @@ pub fn table1(study: &Study) -> String {
 
 /// Figure 1: lines of code per test file (the paper plots the distribution
 /// on a log scale; the quartiles convey the same shape).
-pub fn figure1(study: &Study) -> String {
+pub fn figure1(corpora: &(impl AsRef<[GeneratedSuite]> + ?Sized)) -> String {
+    let corpora = corpora.as_ref();
     let mut out = String::from(
         "Figure 1. Lines of code per test file (native format)\n\
          Suite        files   min   p25   median   p75    max     mean\n",
     );
     for suite in SuiteKind::ALL {
-        let s = loc_stats(&study.suite(suite).files);
+        let s = loc_stats(&corpus(corpora, suite).files);
         out.push_str(&format!(
             "{:<12} {:<7} {:<5} {:<5} {:<8} {:<6} {:<7} {:.1}\n",
             suite.donor_name(),
@@ -67,7 +75,8 @@ pub fn figure1(study: &Study) -> String {
 }
 
 /// Table 2: non-SQL commands of each test runner.
-pub fn table2(study: &Study) -> String {
+pub fn table2(corpora: &(impl AsRef<[GeneratedSuite]> + ?Sized)) -> String {
+    let corpora = corpora.as_ref();
     let mut out = String::from(
         "Table 2. Non-SQL commands of each DBMS test runner\n\
          Feature            SQLite  MySQL  PostgreSQL  DuckDB\n",
@@ -114,7 +123,7 @@ pub fn table2(study: &Study) -> String {
     // Commands actually used by the generated corpora.
     out.push_str("Used in corpus    ");
     for s in suites {
-        let u = command_usage(&study.suite(s).files);
+        let u = command_usage(&corpus(corpora, s).files);
         out.push_str(&format!(" {:<6}", u.distinct()));
     }
     out.push('\n');
@@ -122,10 +131,11 @@ pub fn table2(study: &Study) -> String {
 }
 
 /// Figure 2: distribution of SQL statement types per suite.
-pub fn figure2(study: &Study) -> String {
+pub fn figure2(corpora: &(impl AsRef<[GeneratedSuite]> + ?Sized)) -> String {
+    let corpora = corpora.as_ref();
     let mut out = String::from("Figure 2. Distribution of SQL statement types\n");
     for suite in [SuiteKind::Slt, SuiteKind::PgRegress, SuiteKind::Duckdb] {
-        let d = statement_distribution(&study.suite(suite).files);
+        let d = statement_distribution(&corpus(corpora, suite).files);
         out.push_str(&format!("  {} ({} statements):\n", suite.donor_name(), d.total));
         for (label, frac) in d.ranked().into_iter().take(12) {
             let bar = "#".repeat(((frac * 120.0).round() as usize).clamp(1, 70));
@@ -136,7 +146,8 @@ pub fn figure2(study: &Study) -> String {
 }
 
 /// Table 3: standard-compliance percentages.
-pub fn table3(study: &Study) -> String {
+pub fn table3(corpora: &(impl AsRef<[GeneratedSuite]> + ?Sized)) -> String {
+    let corpora = corpora.as_ref();
     let mut out = String::from(
         "Table 3. Standard-compliant SQL statements among the test cases\n\
          Suite        Standard SQL (paper)   Exclusive files (paper)   w/ CREATE INDEX\n",
@@ -147,7 +158,7 @@ pub fn table3(study: &Study) -> String {
         (SuiteKind::Duckdb, "76.14%", "16.24%"),
     ];
     for (suite, p_std, p_files) in paper {
-        let c = compliance(&study.suite(suite).files);
+        let c = compliance(&corpus(corpora, suite).files);
         out.push_str(&format!(
             "{:<12} {:<8} ({:<7})      {:<8} ({:<7})       {}\n",
             suite.donor_name(),
@@ -162,13 +173,14 @@ pub fn table3(study: &Study) -> String {
 }
 
 /// Figure 3: WHERE-predicate token buckets.
-pub fn figure3(study: &Study) -> String {
+pub fn figure3(corpora: &(impl AsRef<[GeneratedSuite]> + ?Sized)) -> String {
+    let corpora = corpora.as_ref();
     let mut out = String::from(
         "Figure 3. Tokens in WHERE predicates of SELECT statements\n\
          Suite        0        1-2      3-10     11-100   100+     joins  implicit  inner\n",
     );
     for suite in [SuiteKind::Slt, SuiteKind::PgRegress, SuiteKind::Duckdb] {
-        let r = predicate_distribution(&study.suite(suite).files);
+        let r = predicate_distribution(&corpus(corpora, suite).files);
         out.push_str(&format!(
             "{:<12} {:<8} {:<8} {:<8} {:<8} {:<8} {:<6} {:<9} {}\n",
             suite.donor_name(),
@@ -660,7 +672,7 @@ pub fn full_report(study: &Study) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{run_study_cached, shared_study, StudyConfig};
+    use crate::experiments::{generate_corpora, run_study_cached, shared_study, StudyConfig};
 
     #[test]
     fn all_sections_render() {
@@ -684,6 +696,26 @@ mod tests {
         ] {
             assert!(report.contains(needle), "missing section {needle}");
         }
+    }
+
+    #[test]
+    fn rq1_sections_render_from_corpora_alone() {
+        let study = shared_study(77, 0.06);
+        let corpora = generate_corpora(77, 0.06);
+        type Render = fn(&[GeneratedSuite]) -> String;
+        let renderers: [(&str, Render); 6] = [
+            ("table1", table1),
+            ("figure1", figure1),
+            ("table2", table2),
+            ("figure2", figure2),
+            ("table3", table3),
+            ("figure3", figure3),
+        ];
+        for (name, render) in renderers {
+            assert_eq!(render(&corpora), render(&study.suites), "{name} differs");
+        }
+        // The `&Study` call shape every existing caller uses renders the same.
+        assert_eq!(table1(study), table1(&corpora));
     }
 
     #[test]
